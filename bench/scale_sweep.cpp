@@ -9,11 +9,13 @@
 // runs R federation rounds twice over:
 //
 //  * mode "bsp": the bulk-synchronous reference — util::sharded_for
-//    local step, then one fl::ParamExchange barrier round per round;
-//  * mode "pipeline": the dependency-driven engine — fl::StagedExchange
-//    double buffers driven by core::RoundPipeline readiness counters,
-//    per-shard compute overlapping neighbor exchange (stall/overlap
-//    seconds are reported from core::PipelineStats).
+//    local step, then one fl::ParamExchange::round (the barrier
+//    schedule) per round;
+//  * mode "pipeline": the dependency-driven engine — the same exchange
+//    session's per-shard publish/apply schedule driven by
+//    core::RoundPipeline readiness counters, per-shard compute
+//    overlapping neighbor exchange (stall/overlap seconds are reported
+//    from core::PipelineStats).
 //
 // Homes are cost-weighted (device count ramps 1..4 across the city) and
 // the shard plan is sim::ShardPlan::make_weighted by default, so
@@ -184,8 +186,8 @@ struct EngineSetup {
   }
 };
 
-/// Bulk-synchronous engine: sharded_for local step, then one
-/// ParamExchange barrier round — the reference the pipeline must match
+/// Bulk-synchronous engine: sharded_for local step, then one barrier
+/// round of the exchange session — the reference the pipeline must match
 /// bitwise.
 std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
                       const sim::ShardPlan& plan,
@@ -196,8 +198,7 @@ std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
   fl::ParamExchange::Options opts;
   opts.kind = net::MessageKind::kForecastParams;
   opts.min_group = 2;
-  opts.parallel = setup.plan.sharded();
-  fl::ParamExchange exchange(setup.bus, opts);
+  fl::ParamExchange exchange(setup.bus, opts, setup.items);
 
   util::Stopwatch watch;
   double imbalance_sum = 0.0;
@@ -207,7 +208,7 @@ std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
         [&](std::size_t a) { return setup.plan.shard_of(a); },
         [&](std::size_t a) { setup.local_step(cfg, a, r); });
     imbalance_sum += timing.max_over_mean();
-    exchange.round(setup.items, r, [](std::size_t, std::span<const double>) {});
+    exchange.round(r, [](std::size_t, std::span<const double>) {});
   }
   const double seconds = watch.elapsed_seconds();
 
@@ -220,9 +221,10 @@ std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
   return bench::fnv1a_params(setup.params);
 }
 
-/// Pipelined engine: the same rounds driven by StagedExchange double
-/// buffers under RoundPipeline readiness counters — no per-phase
-/// barriers, shard compute overlapping neighbor exchange.
+/// Pipelined engine: the same rounds driven by the exchange session's
+/// per-shard publish/apply schedule under RoundPipeline readiness
+/// counters — no per-phase barriers, shard compute overlapping neighbor
+/// exchange.
 std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
                            const sim::ShardPlan& plan,
                            const std::vector<std::size_t>& weights,
@@ -232,9 +234,9 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
   fl::ParamExchange::Options opts;
   opts.kind = net::MessageKind::kForecastParams;
   opts.min_group = 2;
-  fl::StagedExchange staged(setup.bus, opts, setup.items);
-  if (staged.num_shards() != setup.plan.shards) {
-    std::fprintf(stderr, "FATAL: staged exchange shard count mismatch\n");
+  fl::ParamExchange exchange(setup.bus, opts, setup.items);
+  if (exchange.num_shards() != setup.plan.shards) {
+    std::fprintf(stderr, "FATAL: exchange shard count mismatch\n");
     std::exit(1);
   }
 
@@ -256,10 +258,10 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
     shard_seconds[s] += w.elapsed_seconds();
   };
   ops.publish = [&](std::size_t s, std::uint64_t r) {
-    staged.publish_shard(s, r);
+    exchange.publish_shard(s, r);
   };
   ops.apply = [&](std::size_t s, std::uint64_t r) {
-    staged.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
+    exchange.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
   };
 
   util::Stopwatch watch;

@@ -33,10 +33,8 @@ DrlFederation::DrlFederation(std::size_t num_homes, std::size_t share_layers,
   if (codec_) bus_.set_codec(codec_.get());
 }
 
-void DrlFederation::round(std::vector<FederatedDevice>& devices,
-                          std::uint64_t round_id) {
-  if (bus_.num_agents() < 2) return;
-
+fl::ParamExchange& DrlFederation::session_for(
+    std::vector<FederatedDevice>& devices) {
   // One exchange item per registered device agent. `send` is the α-layer
   // base prefix (Eq. 7's shared slice); `in_place` is the live parameter
   // span, so the engine lands the grouped average directly in the network
@@ -57,116 +55,92 @@ void DrlFederation::round(std::vector<FederatedDevice>& devices,
                      .send = params.subspan(0, prefix),
                      .in_place = params});
   }
+  devices_ = &devices;
 
+  const auto same = [](const fl::ExchangeItem& x, const fl::ExchangeItem& y) {
+    return x.agent == y.agent && x.device_type == y.device_type &&
+           x.send.data() == y.send.data() && x.send.size() == y.send.size() &&
+           x.in_place.data() == y.in_place.data() &&
+           x.in_place.size() == y.in_place.size();
+  };
+  if (session_.has_value() &&
+      std::ranges::equal(session_->items(), items, same)) {
+    return *session_;
+  }
   fl::ParamExchange::Options options;
   options.kind = kind;
   options.metrics = metrics_;
   options.group_size_histogram = "drl.agg_group_size";
   options.policy = policy_;
-  options.parallel = router_ != nullptr;
-  fl::ParamExchange exchange(bus_, options);
-  const fl::ExchangeStats stats = exchange.round(
-      items, round_id, [&](std::size_t i, std::span<const double>) {
-        devices[i].agent->notify_external_parameter_update();
-      });
+  return session_.emplace(bus_, std::move(options), std::move(items));
+}
 
-  if (metrics_ != nullptr) {
-    metrics_->counter("drl.rounds").add(1);
-    metrics_->counter("drl.messages_relayed").add(stats.relayed);
-    metrics_->counter("drl.contributions_accepted").add(stats.accepted);
-    metrics_->counter("drl.contributions_rejected").add(stats.rejected);
-    metrics_->counter("drl.params_averaged").add(stats.params_averaged);
-    obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
-    if (router_) {
-      obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
-    }
-    if (codec_) {
-      obs::record_codec_stats(*metrics_, "wire.drl", codec_->stats());
-    }
+void DrlFederation::notify(std::size_t item, std::span<const double>) const {
+  (*devices_)[item].agent->notify_external_parameter_update();
+}
+
+void DrlFederation::fold_metrics(const fl::ExchangeStats& stats,
+                                 std::uint64_t rounds) {
+  if (metrics_ == nullptr) return;
+  metrics_->counter("drl.rounds").add(rounds);
+  metrics_->counter("drl.messages_relayed").add(stats.relayed);
+  metrics_->counter("drl.contributions_accepted").add(stats.accepted);
+  metrics_->counter("drl.contributions_rejected").add(stats.rejected);
+  metrics_->counter("drl.params_averaged").add(stats.params_averaged);
+  obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
+  if (router_) {
+    obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
+  }
+  if (codec_) {
+    obs::record_codec_stats(*metrics_, "wire.drl", codec_->stats());
   }
 }
 
+void DrlFederation::round(std::vector<FederatedDevice>& devices,
+                          std::uint64_t round_id) {
+  if (bus_.num_agents() < 2) return;
+  fl::ParamExchange& session = session_for(devices);
+  fold_metrics(session.round(round_id,
+                             [this](std::size_t i, std::span<const double> a) {
+                               notify(i, a);
+                             }),
+               1);
+}
+
 void DrlFederation::begin_staged_rounds(std::vector<FederatedDevice>& devices) {
-  if (staged_.has_value()) end_staged_rounds();
   if (bus_.num_agents() < 2) {
     throw std::logic_error(
         "DrlFederation: staged rounds need at least two agents");
   }
-
-  // Identical item construction to round(), hoisted out of the per-round
-  // path: parameter spans point into the live networks, which stay at
-  // fixed addresses for the whole session, so the items are built once.
-  std::vector<fl::ExchangeItem> items;
-  items.reserve(devices.size());
-  net::MessageKind kind = net::MessageKind::kDrlBaseParams;
-  for (const auto& dev : devices) {
-    nn::Mlp& net = dev.agent->network();
-    const std::size_t prefix = base_prefix_params(net, share_layers_);
-    if (share_layers_ >= net.num_layers()) {
-      kind = net::MessageKind::kDrlFullParams;  // FRL shares everything
-    }
-    const auto params = net.parameters();
-    items.push_back({.agent = dev.home,
-                     .device_type = dev.device_type,
-                     .send = params.subspan(0, prefix),
-                     .in_place = params});
-  }
-
-  fl::ParamExchange::Options options;
-  options.kind = kind;
-  options.metrics = metrics_;
-  options.group_size_histogram = "drl.agg_group_size";
-  options.policy = policy_;
-  staged_.emplace(bus_, std::move(options), std::move(items));
-  staged_devices_ = &devices;
-  staged_folded_ = {};
+  // A staged run starts a fresh session, so its metric window opens here.
+  session_.reset();
+  session_for(devices);
 }
 
 void DrlFederation::publish_staged(std::size_t shard, std::uint64_t round_id) {
-  staged_->publish_shard(shard, round_id);
+  session_->publish_shard(shard, round_id);
 }
 
 void DrlFederation::apply_staged(std::size_t shard, std::uint64_t round_id) {
-  staged_->apply_shard(shard, round_id,
-                       [this](std::size_t i, std::span<const double>) {
-                         (*staged_devices_)[i]
-                             .agent->notify_external_parameter_update();
-                       });
+  session_->apply_shard(shard, round_id,
+                        [this](std::size_t i, std::span<const double> a) {
+                          notify(i, a);
+                        });
 }
 
 void DrlFederation::fold_staged_metrics(std::uint64_t rounds) {
-  if (!staged_.has_value()) return;
-  if (metrics_ != nullptr) {
-    const fl::ExchangeStats now = staged_->stats();
-    metrics_->counter("drl.rounds").add(rounds);
-    metrics_->counter("drl.messages_relayed")
-        .add(now.relayed - staged_folded_.relayed);
-    metrics_->counter("drl.contributions_accepted")
-        .add(now.accepted - staged_folded_.accepted);
-    metrics_->counter("drl.contributions_rejected")
-        .add(now.rejected - staged_folded_.rejected);
-    metrics_->counter("drl.params_averaged")
-        .add(now.params_averaged - staged_folded_.params_averaged);
-    staged_folded_ = now;
-    obs::record_bus_stats(*metrics_, "bus.drl", bus_.stats());
-    if (router_) {
-      obs::record_shard_router_stats(*metrics_, "bus.drl", router_->stats());
-    }
-    if (codec_) {
-      obs::record_codec_stats(*metrics_, "wire.drl", codec_->stats());
-    }
+  if (session_.has_value()) {
+    fold_metrics(session_->record_metrics(rounds), rounds);
   }
-  staged_->record_metrics(rounds);
 }
 
 void DrlFederation::end_staged_rounds() {
-  staged_.reset();
-  staged_devices_ = nullptr;
-  staged_folded_ = {};
+  session_.reset();
+  devices_ = nullptr;
 }
 
 std::size_t DrlFederation::staged_shards() const {
-  return staged_.has_value() ? staged_->num_shards() : 1;
+  return session_.has_value() ? session_->num_shards() : 1;
 }
 
 }  // namespace pfdrl::core

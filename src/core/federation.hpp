@@ -59,18 +59,20 @@ class DrlFederation {
   /// One federation round over all registered devices: broadcast each
   /// agent's shared slice, then average per device type at each home
   /// (Eq. 7) and stitch with the local personalization suffix (Eq. 8).
+  /// The barrier schedule of the exchange session; the session is kept
+  /// while the device set stays the same.
   void round(std::vector<FederatedDevice>& devices, std::uint64_t round_id);
 
-  // --- Staged (pipelined) rounds — fl::StagedExchange ------------------
+  // --- Staged (pipelined) rounds ---------------------------------------
   // The dependency-driven round pipeline (core::RoundPipeline) drives
-  // federation per shard instead of per round: begin_staged_rounds builds
-  // the exchange items and engine once for a device set, then every round
-  // is publish_staged(s, r) per shard followed by apply_staged(s, r) once
+  // federation per shard instead of per round: begin_staged_rounds opens
+  // a fresh exchange session for a device set, then every round is
+  // publish_staged(s, r) per shard followed by apply_staged(s, r) once
   // the shard's in-neighbors published. fold_staged_metrics runs at
   // segment barriers (quiesced) and end_staged_rounds tears the session
   // down. `devices` must outlive the session and stay unmoved — commits
-  // notify through it. Caller gates eligibility (no star topology, a
-  // deterministic fault plan); the engine throws otherwise.
+  // notify through it. Caller gates eligibility (fl::pipelinable on
+  // bus()); the engine throws otherwise.
 
   void begin_staged_rounds(std::vector<FederatedDevice>& devices);
   void publish_staged(std::size_t shard, std::uint64_t round_id);
@@ -79,7 +81,7 @@ class DrlFederation {
   /// staged rounds completed since the previous fold.
   void fold_staged_metrics(std::uint64_t rounds);
   void end_staged_rounds();
-  /// Shard count of the active staged session (1 when unsharded).
+  /// Shard count of the active session (1 when unsharded).
   [[nodiscard]] std::size_t staged_shards() const;
 
   [[nodiscard]] net::BusStats comm_stats() const { return bus_.stats(); }
@@ -108,11 +110,18 @@ class DrlFederation {
   net::MessageBus bus_;
   obs::MetricsRegistry* metrics_;
   fl::ExchangePolicy policy_;
-  /// Active staged session (begin_staged_rounds .. end_staged_rounds).
-  std::optional<fl::StagedExchange> staged_;
-  std::vector<FederatedDevice>* staged_devices_ = nullptr;
-  /// Cumulative staged stats already folded into drl.* counters.
-  fl::ExchangeStats staged_folded_{};
+  /// Exchange session for the current device set (rebuilt when the set
+  /// changes) and the device list its commits notify through.
+  std::optional<fl::ParamExchange> session_;
+  std::vector<FederatedDevice>* devices_ = nullptr;
+
+  /// Reuse the session when `devices` yields the same exchange items,
+  /// else build a new one.
+  fl::ParamExchange& session_for(std::vector<FederatedDevice>& devices);
+  /// Commit callback: tell the agent its parameters changed underneath.
+  void notify(std::size_t item, std::span<const double> averaged) const;
+  /// drl.* counters plus bus / router / codec gauges for `rounds` rounds.
+  void fold_metrics(const fl::ExchangeStats& stats, std::uint64_t rounds);
 };
 
 }  // namespace pfdrl::core

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fl/exchange.hpp"
 #include "net/shard_router.hpp"
 #include "obs/metrics.hpp"
 #include "rl/fused.hpp"
@@ -427,15 +428,12 @@ void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
 
 bool EmsPipeline::pipeline_eligible() const {
   // The pipeline needs (a) something to overlap — multiple home shards
-  // feeding one EMS federation — and (b) a round protocol with no
-  // whole-round shared state: the star hub relay/retry handshake and
-  // stochastic fault draws both consume per-round state in a
-  // schedule-dependent order, so those configurations keep the barrier
-  // engine (fl::StagedExchange enforces the same exclusions).
+  // feeding one EMS federation — and (b) a plan-exchange bus the
+  // pipelined schedule supports (fl::pipelinable: no star hub stage, no
+  // stochastic fault draws); otherwise rounds take the barrier schedule.
   return cfg_.sync_mode == SyncMode::kPipeline && shard_runner_.sharded() &&
          federation_.has_value() && federation_->bus().num_agents() >= 2 &&
-         federation_->bus().topology().kind() != net::TopologyKind::kStar &&
-         cfg_.fault.deterministic_delivery();
+         fl::pipelinable(federation_->bus());
 }
 
 void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
@@ -460,7 +458,7 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
   const std::size_t shards = shard_runner_.shards();
 
   // Home-major federated device list, identical to the BSP build, made
-  // once: the staged session holds spans into the live networks, which
+  // once: the exchange session holds spans into the live networks, which
   // never move during training.
   std::vector<FederatedDevice> devices;
   devices.reserve(plan.jobs.size());

@@ -299,10 +299,9 @@ void DflTrainer::broadcast_and_aggregate(std::uint64_t round_id) {
   options.metrics = cfg_.metrics;
   options.group_size_histogram = "dfl.agg_group_size";
   options.policy = cfg_.robustness;
-  options.parallel = router_ != nullptr;
-  ParamExchange exchange(bus_, options);
+  ParamExchange exchange(bus_, std::move(options), std::move(items));
   const ExchangeStats stats = exchange.round(
-      items, round_id, [&](std::size_t i, std::span<const double> averaged) {
+      round_id, [&](std::size_t i, std::span<const double> averaged) {
         agents_[slots[i].home].devices[slots[i].dev]->set_parameters(averaged);
       });
 

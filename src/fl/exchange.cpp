@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "fl/aggregate.hpp"
@@ -12,664 +11,401 @@
 
 namespace pfdrl::fl {
 
-ParamExchange::ParamExchange(net::MessageBus& bus, Options options)
-    : bus_(bus), options_(std::move(options)) {}
+namespace {
 
-ExchangeStats ParamExchange::round(std::span<const ExchangeItem> items,
-                                   std::uint64_t round_id,
-                                   const CommitFn& commit) {
-  ExchangeStats stats;
-  const std::uint64_t allocations_before = net::Payload::allocations();
-  const net::BusStats bus_before = bus_.stats();
-  const ExchangePolicy& policy = options_.policy;
-  const auto is_crashed = [&](net::AgentId a) {
-    return policy.failures.crashed(a, round_id);
-  };
+// Relaxed add: every tally is an order-independent sum.
+void bump(std::uint64_t& counter, std::uint64_t n = 1) {
+  std::atomic_ref(counter).fetch_add(n, std::memory_order_relaxed);
+}
 
-  // Aggregation groups: the sorted agent list per device type. Needed
-  // for secure masking (masks cancel exactly within a full group), to
-  // know whether a device has homologous peers at all, and as the
-  // *nominal* group size the quorum fraction is measured against —
-  // crashed members still count toward the denominator, so a shrinking
-  // live set shows up as a falling quorum fill, not a moving target.
-  std::map<std::uint32_t, std::vector<net::AgentId>> groups;
-  for (const auto& item : items) groups[item.device_type].push_back(item.agent);
-  for (auto& [type, members] : groups) {
-    std::sort(members.begin(), members.end());
+ExchangeStats minus(const ExchangeStats& a, const ExchangeStats& b) {
+  ExchangeStats d;
+  d.accepted = a.accepted - b.accepted;
+  d.rejected = a.rejected - b.rejected;
+  d.relayed = a.relayed - b.relayed;
+  d.items_averaged = a.items_averaged - b.items_averaged;
+  d.params_averaged = a.params_averaged - b.params_averaged;
+  d.duplicates = a.duplicates - b.duplicates;
+  d.stale_msgs = a.stale_msgs - b.stale_msgs;
+  d.late_msgs = a.late_msgs - b.late_msgs;
+  d.quorum_met = a.quorum_met - b.quorum_met;
+  d.quorum_missed = a.quorum_missed - b.quorum_missed;
+  d.local_fallbacks = a.local_fallbacks - b.local_fallbacks;
+  d.crashed_items = a.crashed_items - b.crashed_items;
+  d.retries = a.retries - b.retries;
+  return d;
+}
+
+}  // namespace
+
+bool pipelinable(const net::MessageBus& bus) noexcept {
+  return bus.topology().kind() != net::TopologyKind::kStar &&
+         bus.fault_plan().deterministic_delivery();
+}
+
+ParamExchange::ParamExchange(net::MessageBus& bus, Options options,
+                             std::vector<ExchangeItem> items)
+    : bus_(bus), options_(std::move(options)), items_(std::move(items)) {
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (items_[i].agent >= bus_.num_agents()) {
+      throw std::invalid_argument("ParamExchange: item agent not on the bus");
+    }
+    if (i > 0 && items_[i].agent < items_[i - 1].agent) {
+      throw std::invalid_argument(
+          "ParamExchange: items must be sorted ascending by agent");
+    }
+  }
+  for (const auto& item : items_) {
+    groups_[item.device_type].push_back(item.agent);
+  }
+  for (auto& [type, members] : groups_) {
     members.erase(std::unique(members.begin(), members.end()), members.end());
   }
 
-  // Phase 1: every live item broadcasts its shared slice as one
-  // refcounted payload; the bus fans out handles, not copies. Crashed
-  // residences skip the round (no broadcast, no drain — their inbox
-  // backlog is discarded as stale after restart). Stragglers start late:
-  // their compute delay seeds Message::arrival_s, so with a deadline
-  // their contributions tend to miss the cut at every receiver. The
-  // (possibly masked) payload doubles as the sender's own contribution
-  // in phase 3 — pairwise masks only cancel if every group member
-  // contributes the masked form.
-  std::vector<net::Payload> sent(items.size());
-  std::vector<char> live(items.size(), 1);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
-    if (is_crashed(item.agent)) {
-      live[i] = 0;
-      ++stats.crashed_items;
-      // A crashed residence's receivers hold stale delta mirrors (and
-      // its quant error accumulator died with the process) — drop its
-      // codec streams so the first post-restart broadcast is a keyframe.
-      if (net::WireCodec* codec = bus_.codec(); codec != nullptr) {
-        codec->reset_agent(item.agent);
-      }
-      continue;
-    }
-    const auto& group = groups[item.device_type];
-    if (options_.secure != nullptr && group.size() > 1) {
-      sent[i] = options_.secure->mask(item.agent, round_id, group, item.send);
-    } else {
-      sent[i] = std::vector<double>(item.send.begin(), item.send.end());
-    }
-    net::Message msg;
-    msg.sender = item.agent;
-    msg.kind = options_.kind;
-    msg.device_type = item.device_type;
-    msg.round = round_id;
-    msg.arrival_s = policy.failures.compute_delay(item.agent);
-    msg.payload = sent[i];
-    bus_.broadcast(msg);
-  }
-  // Tick barrier: hand parked cross-shard traffic over to the inboxes as
-  // one batch per shard pair, in pinned (src, dst) order. No-op without
-  // an attached net::ShardRouter.
-  bus_.flush_shard_batches();
-
-  // Star topology: the hub relays leaf messages to the other leaves and
-  // keeps a copy for its own aggregation — the "cloud aggregator" tax of
-  // the centralized baselines. Relayed messages share the same payload
-  // buffer as the original and accumulate the second hop's latency. When
-  // the lossy leaf->hub link ate a contribution, the leaf retransmits
-  // with backoff (up to policy.hub_retries attempts); a crashed hub
-  // takes the whole round down — every leaf falls back to local.
-  std::vector<net::Message> hub_keep;
-  if (bus_.topology().kind() == net::TopologyKind::kStar && !is_crashed(0)) {
-    auto hub_msgs = bus_.drain(0);
-    if (policy.hub_retries > 0) {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const auto& item = items[i];
-        if (!live[i] || item.agent == 0) continue;
-        const auto hub_has = [&] {
-          return std::any_of(hub_msgs.begin(), hub_msgs.end(),
-                             [&](const net::Message& m) {
-                               return m.sender == item.agent &&
-                                      m.device_type == item.device_type;
-                             });
-        };
-        for (std::size_t attempt = 1;
-             attempt <= policy.hub_retries && !hub_has(); ++attempt) {
-          net::Message msg;
-          msg.sender = item.agent;
-          msg.kind = options_.kind;
-          msg.device_type = item.device_type;
-          msg.round = round_id;
-          msg.arrival_s = policy.failures.compute_delay(item.agent) +
-                          static_cast<double>(attempt) *
-                              policy.retry_backoff_s;
-          msg.payload = sent[i];
-          ++stats.retries;
-          bus_.send(0, msg);
-          auto retried = bus_.drain(0);
-          hub_msgs.insert(hub_msgs.end(),
-                          std::make_move_iterator(retried.begin()),
-                          std::make_move_iterator(retried.end()));
-        }
-      }
-    }
-    for (auto& m : hub_msgs) {
-      for (std::size_t h = 1; h < bus_.num_agents(); ++h) {
-        if (static_cast<net::AgentId>(h) == m.sender) continue;
-        bus_.send(static_cast<net::AgentId>(h), m);
-        ++stats.relayed;
-      }
-      // The hub already holds this copy in hand — it aggregates from it
-      // directly instead of looping it back through the (possibly
-      // faulty) network.
-      hub_keep.push_back(std::move(m));
-    }
-  }
-
-  // Phase 2: drain every live inbox, discard stale (older-round) and
-  // late (past-deadline) deliveries, and sort the survivors by
-  // (sender, device_type) so averaging order never depends on delivery
-  // interleaving. Crashed agents keep their backlog for next time.
-  // Inboxes are independent, so with Options::parallel this fans out on
-  // the global pool; the counters are order-independent sums, so the
-  // result is bitwise identical either way.
-  const double deadline = policy.round_deadline_s;
-  std::atomic<std::uint64_t> stale_msgs{0};
-  std::atomic<std::uint64_t> late_msgs{0};
-  std::vector<std::vector<net::Message>> inboxes(bus_.num_agents());
-  const auto drain_inbox = [&](std::size_t h) {
-    if (is_crashed(static_cast<net::AgentId>(h))) return;
-    auto raw = bus_.drain(static_cast<net::AgentId>(h));
-    if (h == 0 && !hub_keep.empty()) {
-      raw.insert(raw.end(), std::make_move_iterator(hub_keep.begin()),
-                 std::make_move_iterator(hub_keep.end()));
-      hub_keep.clear();
-    }
-    auto& kept = inboxes[h];
-    kept.reserve(raw.size());
-    for (auto& m : raw) {
-      if (m.round != round_id) {
-        stale_msgs.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (deadline > 0.0 && m.arrival_s > deadline) {
-        late_msgs.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      kept.push_back(std::move(m));
-    }
-    std::sort(kept.begin(), kept.end(),
-              [](const net::Message& a, const net::Message& b) {
-                if (a.sender != b.sender) return a.sender < b.sender;
-                return a.device_type < b.device_type;
-              });
+  net::ShardRouter* router = bus_.shard_router();
+  shards_ = router != nullptr ? router->num_shards() : 1;
+  const auto shard_of = [router](net::AgentId a) {
+    return router != nullptr ? router->shard_of(a) : std::size_t{0};
   };
-  if (options_.parallel) {
-    util::ThreadPool::global().parallel_for(0, bus_.num_agents(), drain_inbox);
-  } else {
-    for (std::size_t h = 0; h < bus_.num_agents(); ++h) drain_inbox(h);
+  item_begin_.assign(shards_ + 1, items_.size());
+  item_begin_[0] = 0;
+  agent_begin_.assign(shards_ + 1, bus_.num_agents());
+  agent_begin_[0] = 0;
+  std::size_t s = 0;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const std::size_t is = shard_of(items_[i].agent);
+    while (s < is) item_begin_[++s] = i;
   }
-  stats.stale_msgs = stale_msgs.load();
-  stats.late_msgs = late_msgs.load();
+  s = 0;
+  for (std::size_t a = 0; a < bus_.num_agents(); ++a) {
+    const std::size_t as = shard_of(static_cast<net::AgentId>(a));
+    if (as < s) throw std::logic_error("ParamExchange: non-monotone shard map");
+    while (s < as) agent_begin_[++s] = a;
+  }
 
-  obs::Histogram* group_hist = nullptr;
-  obs::Histogram* caller_hist = nullptr;
+  sent_.resize(items_.size());
+  live_.assign(items_.size(), 1);
+  inboxes_.resize(bus_.num_agents());
   if (options_.metrics != nullptr) {
-    group_hist = &options_.metrics->histogram("exchange.group_size",
-                                              obs::Histogram::count_buckets());
+    group_hist_ = &options_.metrics->histogram(
+        "exchange.group_size", obs::Histogram::count_buckets());
     if (!options_.group_size_histogram.empty()) {
-      caller_hist = &options_.metrics->histogram(
+      caller_hist_ = &options_.metrics->histogram(
           options_.group_size_histogram, obs::Histogram::count_buckets());
     }
   }
-
-  // Phase 3: participation-weighted grouped average. Contributions are
-  // deduped per (sender, device_type) — duplicated deliveries collapse
-  // to one vote, so every unique participant that made the deadline
-  // weighs exactly 1/K in the mean. An item whose group misses the
-  // quorum (or min_group) keeps its local parameters untouched: one more
-  // item-round of staleness, never an average over garbage.
-  // Items only read the drained inboxes and the sent payload copies and
-  // write their own in_place span (or local scratch), so with
-  // Options::parallel they fan out on the pool; per-item results and the
-  // summed counters are bitwise identical to the serial path.
-  std::atomic<std::uint64_t> duplicates{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> local_fallbacks{0};
-  std::atomic<std::uint64_t> quorum_missed{0};
-  std::atomic<std::uint64_t> quorum_met{0};
-  std::atomic<std::uint64_t> items_averaged{0};
-  std::atomic<std::uint64_t> params_averaged{0};
-  const auto aggregate_item = [&](std::size_t i) {
-    if (!live[i]) return;
-    const auto& item = items[i];
-    const std::size_t shared_len = item.send.size();
-    std::vector<double> scratch;
-    std::vector<std::span<const double>> contributions;
-    contributions.push_back(sent[i]);
-    bool have_prev = false;
-    net::AgentId prev_sender = 0;
-    for (const auto& m : inboxes[item.agent]) {
-      if (m.device_type != item.device_type) continue;
-      if (m.sender == item.agent) continue;  // echo guard
-      if (have_prev && m.sender == prev_sender) {  // duplicate delivery
-        duplicates.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      have_prev = true;
-      prev_sender = m.sender;
-      if (m.payload.size() != shared_len) {  // shape guard
-        rejected.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      contributions.push_back(m.payload);
-      accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    const std::size_t nominal = groups.at(item.device_type).size();
-    std::size_t required = options_.min_group;
-    if (policy.quorum_fraction > 0.0) {
-      required = std::max(
-          required, static_cast<std::size_t>(std::ceil(
-                        policy.quorum_fraction * static_cast<double>(nominal))));
-    }
-    if (contributions.size() < required) {  // local fallback
-      local_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      if (policy.quorum_fraction > 0.0) {
-        quorum_missed.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    if (policy.quorum_fraction > 0.0) {
-      quorum_met.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::span<const double> averaged;
-    if (!item.in_place.empty()) {
-      // Eq. 7 in place: the shared prefix of the live parameter span is
-      // overwritten; the suffix (Eq. 8's personalization layers) is never
-      // touched.
-      fedavg_prefix(contributions, shared_len, item.in_place);
-      averaged = std::span<const double>(item.in_place).subspan(0, shared_len);
-    } else {
-      scratch.assign(shared_len, 0.0);
-      fedavg(contributions, scratch);
-      averaged = scratch;
-    }
-    items_averaged.fetch_add(1, std::memory_order_relaxed);
-    params_averaged.fetch_add(shared_len, std::memory_order_relaxed);
-    if (group_hist != nullptr) {
-      group_hist->observe(static_cast<double>(contributions.size()));
-    }
-    if (caller_hist != nullptr) {
-      caller_hist->observe(static_cast<double>(contributions.size()));
-    }
-    if (commit) commit(i, averaged);
-  };
-  if (options_.parallel) {
-    util::ThreadPool::global().parallel_for(0, items.size(), aggregate_item);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) aggregate_item(i);
-  }
-  stats.duplicates = duplicates.load();
-  stats.rejected = rejected.load();
-  stats.accepted = accepted.load();
-  stats.local_fallbacks = local_fallbacks.load();
-  stats.quorum_missed = quorum_missed.load();
-  stats.quorum_met = quorum_met.load();
-  stats.items_averaged = items_averaged.load();
-  stats.params_averaged = params_averaged.load();
-
-  stats.payload_allocations = net::Payload::allocations() - allocations_before;
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    reg.counter("exchange.rounds").add(1);
-    reg.counter("exchange.items").add(items.size());
-    reg.counter("exchange.payload_copies").add(stats.payload_allocations);
-    reg.counter("exchange.relays").add(stats.relayed);
-    reg.counter("exchange.quorum_met").add(stats.quorum_met);
-    reg.counter("exchange.quorum_missed").add(stats.quorum_missed);
-    reg.counter("exchange.stale_rounds").add(stats.local_fallbacks);
-    reg.counter("exchange.stale_msgs").add(stats.stale_msgs);
-    reg.counter("exchange.late_msgs").add(stats.late_msgs);
-    reg.counter("exchange.duplicate_msgs").add(stats.duplicates);
-    reg.counter("exchange.crashed_items").add(stats.crashed_items);
-    reg.counter("exchange.retries").add(stats.retries);
-    // fault.* — the run-wide fault ledger, folded as per-round deltas of
-    // this bus's counters so both federation buses add into one family.
-    const net::BusStats bus_after = bus_.stats();
-    reg.counter("fault.drops")
-        .add(bus_after.messages_dropped - bus_before.messages_dropped);
-    reg.counter("fault.partition_drops")
-        .add(bus_after.messages_partition_dropped -
-             bus_before.messages_partition_dropped);
-    reg.counter("fault.duplicates")
-        .add(bus_after.messages_duplicated - bus_before.messages_duplicated);
-    reg.counter("fault.delayed_msgs")
-        .add(bus_after.messages_delayed - bus_before.messages_delayed);
-    reg.counter("fault.crashes").add(stats.crashed_items);
-  }
-  return stats;
-}
-
-// ---------------------------------------------------------------------------
-// StagedExchange — ParamExchange::round carved into per-shard stages for
-// the dependency-driven pipeline. Every semantic detail (crash handling,
-// secure masking, stale/late filters, sort keys, quorum math, fedavg
-// order) is the same code path as above; only the iteration boundaries
-// and the lifetime of the sent-payload slots differ.
-
-struct StagedExchange::Impl {
-  net::MessageBus& bus;
-  ParamExchange::Options options;
-  std::vector<ExchangeItem> items;
-  // Nominal aggregation groups, computed once — membership is a property
-  // of the item set, not of any round.
-  std::map<std::uint32_t, std::vector<net::AgentId>> groups;
-  std::size_t shards = 1;
-  // Contiguous per-shard slices (size shards + 1): items owned by shard s
-  // are [item_begin[s], item_begin[s+1]), agents are
-  // [agent_begin[s], agent_begin[s+1]). Contiguity holds because items
-  // are sorted by agent and the shard map is monotone in the agent id.
-  std::vector<std::size_t> item_begin;
-  std::vector<std::size_t> agent_begin;
-  // Persistent send slots: the refcounted handles are the double buffer.
-  // publish_shard(s, r+1) overwrites a slot while inbox handles keep the
-  // round-r allocation alive for any neighbor still aggregating it.
-  std::vector<net::Payload> sent;
-  std::vector<char> live;
-  // Drained inboxes, indexed by agent. Shards touch disjoint agent
-  // ranges, so no locking; cleared after phase 3 to release handles.
-  std::vector<std::vector<net::Message>> inboxes;
-
-  obs::Histogram* group_hist = nullptr;
-  obs::Histogram* caller_hist = nullptr;
-
-  // Cumulative order-independent sums — totals are bitwise identical to
-  // the per-round BSP stats added up.
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> items_averaged{0};
-  std::atomic<std::uint64_t> params_averaged{0};
-  std::atomic<std::uint64_t> duplicates{0};
-  std::atomic<std::uint64_t> stale_msgs{0};
-  std::atomic<std::uint64_t> late_msgs{0};
-  std::atomic<std::uint64_t> quorum_met{0};
-  std::atomic<std::uint64_t> quorum_missed{0};
-  std::atomic<std::uint64_t> local_fallbacks{0};
-  std::atomic<std::uint64_t> crashed_items{0};
-
-  std::uint64_t allocations_at_ctor = 0;
-  // record_metrics() window baselines (deltas fold per segment).
-  ExchangeStats reported{};
-  net::BusStats bus_reported{};
-  std::uint64_t allocations_reported = 0;
-
-  Impl(net::MessageBus& b, ParamExchange::Options o,
-       std::vector<ExchangeItem> it)
-      : bus(b), options(std::move(o)), items(std::move(it)) {
-    if (bus.topology().kind() == net::TopologyKind::kStar) {
-      throw std::logic_error(
-          "StagedExchange: star hub relay is a whole-round protocol; use "
-          "ParamExchange");
-    }
-    if (!bus.fault_plan().deterministic_delivery()) {
-      throw std::logic_error(
-          "StagedExchange: stochastic fault plan would draw the per-bus "
-          "fault stream in schedule order; use ParamExchange");
-    }
-    for (std::size_t i = 1; i < items.size(); ++i) {
-      if (items[i].agent < items[i - 1].agent) {
-        throw std::invalid_argument(
-            "StagedExchange: items must be sorted ascending by agent");
-      }
-    }
-    for (const auto& item : items) {
-      groups[item.device_type].push_back(item.agent);
-    }
-    for (auto& [type, members] : groups) {
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()),
-                    members.end());
-    }
-    net::ShardRouter* router = bus.shard_router();
-    shards = router != nullptr ? router->num_shards() : 1;
-    const auto shard_of = [router](net::AgentId a) {
-      return router != nullptr ? router->shard_of(a) : std::size_t{0};
-    };
-    item_begin.assign(shards + 1, items.size());
-    item_begin[0] = 0;
-    agent_begin.assign(shards + 1, bus.num_agents());
-    agent_begin[0] = 0;
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const std::size_t is = shard_of(items[i].agent);
-      while (s < is) item_begin[++s] = i;
-    }
-    s = 0;
-    for (std::size_t a = 0; a < bus.num_agents(); ++a) {
-      const std::size_t as = shard_of(static_cast<net::AgentId>(a));
-      if (as < s) {
-        throw std::logic_error("StagedExchange: non-monotone shard map");
-      }
-      while (s < as) agent_begin[++s] = a;
-    }
-    sent.resize(items.size());
-    live.assign(items.size(), 1);
-    inboxes.resize(bus.num_agents());
-    allocations_at_ctor = net::Payload::allocations();
-    allocations_reported = allocations_at_ctor;
-    bus_reported = bus.stats();
-    if (options.metrics != nullptr) {
-      group_hist = &options.metrics->histogram(
-          "exchange.group_size", obs::Histogram::count_buckets());
-      if (!options.group_size_histogram.empty()) {
-        caller_hist = &options.metrics->histogram(
-            options.group_size_histogram, obs::Histogram::count_buckets());
-      }
-    }
-  }
-
-  void publish_shard(std::size_t s, std::uint64_t round_id) {
-    const ExchangePolicy& policy = options.policy;
-    for (std::size_t i = item_begin[s]; i < item_begin[s + 1]; ++i) {
-      const auto& item = items[i];
-      if (policy.failures.crashed(item.agent, round_id)) {
-        live[i] = 0;
-        crashed_items.fetch_add(1, std::memory_order_relaxed);
-        if (net::WireCodec* codec = bus.codec(); codec != nullptr) {
-          codec->reset_agent(item.agent);
-        }
-        continue;
-      }
-      live[i] = 1;
-      const auto& group = groups.at(item.device_type);
-      if (options.secure != nullptr && group.size() > 1) {
-        sent[i] = options.secure->mask(item.agent, round_id, group, item.send);
-      } else {
-        sent[i] = std::vector<double>(item.send.begin(), item.send.end());
-      }
-      net::Message msg;
-      msg.sender = item.agent;
-      msg.kind = options.kind;
-      msg.device_type = item.device_type;
-      msg.round = round_id;
-      msg.arrival_s = policy.failures.compute_delay(item.agent);
-      msg.payload = sent[i];
-      bus.broadcast(msg);
-    }
-    bus.flush_shard_batches_from(s);
-  }
-
-  void apply_shard(std::size_t s, std::uint64_t round_id,
-                   const ParamExchange::CommitFn& commit) {
-    const ExchangePolicy& policy = options.policy;
-    const double deadline = policy.round_deadline_s;
-
-    // Phase 2 for this shard's agents: generational drain, stale/late
-    // filter, pinned (sender, device_type) sort. Item-less agents drain
-    // too — their inboxes must not pile up across rounds. Crashed agents
-    // keep their backlog; a later drain_round discards it as stale, the
-    // same totals as BSP's next-round drain.
-    std::size_t stale = 0;
-    std::uint64_t late = 0;
-    for (std::size_t a = agent_begin[s]; a < agent_begin[s + 1]; ++a) {
-      const auto agent = static_cast<net::AgentId>(a);
-      if (policy.failures.crashed(agent, round_id)) continue;
-      auto raw = bus.drain_round(agent, round_id, &stale);
-      auto& kept = inboxes[a];
-      kept.clear();
-      kept.reserve(raw.size());
-      for (auto& m : raw) {
-        if (deadline > 0.0 && m.arrival_s > deadline) {
-          ++late;
-          continue;
-        }
-        kept.push_back(std::move(m));
-      }
-      std::sort(kept.begin(), kept.end(),
-                [](const net::Message& x, const net::Message& y) {
-                  if (x.sender != y.sender) return x.sender < y.sender;
-                  return x.device_type < y.device_type;
-                });
-    }
-    stale_msgs.fetch_add(stale, std::memory_order_relaxed);
-    late_msgs.fetch_add(late, std::memory_order_relaxed);
-
-    // Phase 3 for this shard's items: identical aggregation semantics to
-    // ParamExchange (echo guard, dup collapse, shape guard, quorum
-    // against the nominal denominator, fedavg in caller item order).
-    for (std::size_t i = item_begin[s]; i < item_begin[s + 1]; ++i) {
-      if (!live[i]) continue;
-      const auto& item = items[i];
-      const std::size_t shared_len = item.send.size();
-      std::vector<double> scratch;
-      std::vector<std::span<const double>> contributions;
-      contributions.push_back(sent[i]);
-      bool have_prev = false;
-      net::AgentId prev_sender = 0;
-      for (const auto& m : inboxes[item.agent]) {
-        if (m.device_type != item.device_type) continue;
-        if (m.sender == item.agent) continue;  // echo guard
-        if (have_prev && m.sender == prev_sender) {
-          duplicates.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        have_prev = true;
-        prev_sender = m.sender;
-        if (m.payload.size() != shared_len) {
-          rejected.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        contributions.push_back(m.payload);
-        accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      const std::size_t nominal = groups.at(item.device_type).size();
-      std::size_t required = options.min_group;
-      if (policy.quorum_fraction > 0.0) {
-        required = std::max(
-            required,
-            static_cast<std::size_t>(std::ceil(
-                policy.quorum_fraction * static_cast<double>(nominal))));
-      }
-      if (contributions.size() < required) {
-        local_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        if (policy.quorum_fraction > 0.0) {
-          quorum_missed.fetch_add(1, std::memory_order_relaxed);
-        }
-        continue;
-      }
-      if (policy.quorum_fraction > 0.0) {
-        quorum_met.fetch_add(1, std::memory_order_relaxed);
-      }
-
-      std::span<const double> averaged;
-      if (!item.in_place.empty()) {
-        fedavg_prefix(contributions, shared_len, item.in_place);
-        averaged =
-            std::span<const double>(item.in_place).subspan(0, shared_len);
-      } else {
-        scratch.assign(shared_len, 0.0);
-        fedavg(contributions, scratch);
-        averaged = scratch;
-      }
-      items_averaged.fetch_add(1, std::memory_order_relaxed);
-      params_averaged.fetch_add(shared_len, std::memory_order_relaxed);
-      if (group_hist != nullptr) {
-        group_hist->observe(static_cast<double>(contributions.size()));
-      }
-      if (caller_hist != nullptr) {
-        caller_hist->observe(static_cast<double>(contributions.size()));
-      }
-      if (commit) commit(i, averaged);
-    }
-
-    // Release the round's payload handles for this shard's agents.
-    for (std::size_t a = agent_begin[s]; a < agent_begin[s + 1]; ++a) {
-      inboxes[a].clear();
-    }
-  }
-
-  [[nodiscard]] ExchangeStats snapshot() const {
-    ExchangeStats out;
-    out.accepted = accepted.load();
-    out.rejected = rejected.load();
-    out.items_averaged = items_averaged.load();
-    out.params_averaged = params_averaged.load();
-    out.duplicates = duplicates.load();
-    out.stale_msgs = stale_msgs.load();
-    out.late_msgs = late_msgs.load();
-    out.quorum_met = quorum_met.load();
-    out.quorum_missed = quorum_missed.load();
-    out.local_fallbacks = local_fallbacks.load();
-    out.crashed_items = crashed_items.load();
-    out.payload_allocations = net::Payload::allocations() - allocations_at_ctor;
-    return out;
-  }
-};
-
-StagedExchange::StagedExchange(net::MessageBus& bus,
-                               ParamExchange::Options options,
-                               std::vector<ExchangeItem> items)
-    : impl_(std::make_unique<Impl>(bus, std::move(options), std::move(items))) {
-  shards_ = impl_->shards;
+  reported_ = mark();
   // While this session is live, a pair batch holding two round
-  // generations is a broken pipeline invariant — have the router fail
-  // fast instead of silently interleaving rounds.
-  if (net::ShardRouter* router = impl_->bus.shard_router()) {
-    router->set_strict_rounds(true);
-  }
+  // generations is a broken invariant under either schedule — have the
+  // router fail fast instead of silently interleaving rounds.
+  if (router != nullptr) router->set_strict_rounds(true);
 }
 
-StagedExchange::~StagedExchange() {
-  if (net::ShardRouter* router = impl_->bus.shard_router()) {
+ParamExchange::~ParamExchange() {
+  if (net::ShardRouter* router = bus_.shard_router()) {
     router->set_strict_rounds(false);
   }
 }
 
-void StagedExchange::publish_shard(std::size_t shard, std::uint64_t round_id) {
-  impl_->publish_shard(shard, round_id);
+ParamExchange::Mark ParamExchange::mark() const {
+  return {tally_, bus_.stats(), net::Payload::allocations()};
 }
 
-void StagedExchange::apply_shard(std::size_t shard, std::uint64_t round_id,
-                                 const ParamExchange::CommitFn& commit) {
-  impl_->apply_shard(shard, round_id, commit);
+// Phase 1: a live item broadcasts its shared slice as one refcounted
+// payload; the bus fans out handles, not copies. Crashed residences skip
+// the round (no broadcast, no drain — their inbox backlog is discarded as
+// stale after restart). Stragglers start late: their compute delay seeds
+// Message::arrival_s, so with a deadline their contributions tend to miss
+// the cut at every receiver. The (possibly masked) payload doubles as the
+// sender's own contribution in phase 3 — pairwise masks only cancel if
+// every group member contributes the masked form.
+void ParamExchange::broadcast_item(std::size_t i, std::uint64_t round_id) {
+  const ExchangeItem& item = items_[i];
+  const ExchangePolicy& policy = options_.policy;
+  if (policy.failures.crashed(item.agent, round_id)) {
+    live_[i] = 0;
+    bump(tally_.crashed_items);
+    // A crashed residence's receivers hold stale delta mirrors (and its
+    // quant error accumulator died with the process) — drop its codec
+    // streams so the first post-restart broadcast is a keyframe.
+    if (net::WireCodec* codec = bus_.codec(); codec != nullptr) {
+      codec->reset_agent(item.agent);
+    }
+    return;
+  }
+  live_[i] = 1;
+  const auto& group = groups_.at(item.device_type);
+  if (options_.secure != nullptr && group.size() > 1) {
+    sent_[i] = options_.secure->mask(item.agent, round_id, group, item.send);
+  } else {
+    sent_[i] = std::vector<double>(item.send.begin(), item.send.end());
+  }
+  net::Message msg;
+  msg.sender = item.agent;
+  msg.kind = options_.kind;
+  msg.device_type = item.device_type;
+  msg.round = round_id;
+  msg.arrival_s = policy.failures.compute_delay(item.agent);
+  msg.payload = sent_[i];
+  bus_.broadcast(msg);
 }
 
-ExchangeStats StagedExchange::stats() const { return impl_->snapshot(); }
+// Star topology: the hub relays leaf messages to the other leaves and
+// keeps a copy for its own aggregation — the "cloud aggregator" tax of
+// the centralized baselines. Relayed messages share the same payload
+// buffer as the original and accumulate the second hop's latency. When
+// the lossy leaf->hub link ate a contribution, the leaf retransmits with
+// backoff (up to policy.hub_retries attempts); a crashed hub takes the
+// whole round down — every leaf falls back to local.
+void ParamExchange::relay_via_hub(std::uint64_t round_id) {
+  const ExchangePolicy& policy = options_.policy;
+  if (bus_.topology().kind() != net::TopologyKind::kStar ||
+      policy.failures.crashed(0, round_id)) {
+    return;
+  }
+  auto hub_msgs = bus_.drain(0);
+  if (policy.hub_retries > 0) {
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      const auto& item = items_[i];
+      if (!live_[i] || item.agent == 0) continue;
+      const auto hub_has = [&] {
+        return std::any_of(hub_msgs.begin(), hub_msgs.end(),
+                           [&](const net::Message& m) {
+                             return m.sender == item.agent &&
+                                    m.device_type == item.device_type;
+                           });
+      };
+      for (std::size_t attempt = 1;
+           attempt <= policy.hub_retries && !hub_has(); ++attempt) {
+        net::Message msg;
+        msg.sender = item.agent;
+        msg.kind = options_.kind;
+        msg.device_type = item.device_type;
+        msg.round = round_id;
+        msg.arrival_s =
+            policy.failures.compute_delay(item.agent) +
+            static_cast<double>(attempt) * policy.retry_backoff_s;
+        msg.payload = sent_[i];
+        bump(tally_.retries);
+        bus_.send(0, msg);
+        auto retried = bus_.drain(0);
+        hub_msgs.insert(hub_msgs.end(),
+                        std::make_move_iterator(retried.begin()),
+                        std::make_move_iterator(retried.end()));
+      }
+    }
+  }
+  for (auto& m : hub_msgs) {
+    for (std::size_t h = 1; h < bus_.num_agents(); ++h) {
+      if (static_cast<net::AgentId>(h) == m.sender) continue;
+      bus_.send(static_cast<net::AgentId>(h), m);
+      bump(tally_.relayed);
+    }
+    hub_keep_.push_back(std::move(m));
+  }
+}
 
-void StagedExchange::record_metrics(std::uint64_t rounds_completed) {
-  Impl& im = *impl_;
-  if (im.options.metrics == nullptr) return;
-  const ExchangeStats cur = im.snapshot();
-  const ExchangeStats& prev = im.reported;
-  obs::MetricsRegistry& reg = *im.options.metrics;
-  reg.counter("exchange.rounds").add(rounds_completed);
-  reg.counter("exchange.items").add(im.items.size() * rounds_completed);
-  reg.counter("exchange.payload_copies")
-      .add(net::Payload::allocations() - im.allocations_reported);
-  // No star relay path in the staged engine, but the counters must exist
-  // so bsp and pipeline runs export the same exchange.* family.
-  reg.counter("exchange.relays").add(0);
-  reg.counter("exchange.retries").add(0);
-  reg.counter("exchange.quorum_met").add(cur.quorum_met - prev.quorum_met);
-  reg.counter("exchange.quorum_missed")
-      .add(cur.quorum_missed - prev.quorum_missed);
-  reg.counter("exchange.stale_rounds")
-      .add(cur.local_fallbacks - prev.local_fallbacks);
-  reg.counter("exchange.stale_msgs").add(cur.stale_msgs - prev.stale_msgs);
-  reg.counter("exchange.late_msgs").add(cur.late_msgs - prev.late_msgs);
-  reg.counter("exchange.duplicate_msgs")
-      .add(cur.duplicates - prev.duplicates);
-  reg.counter("exchange.crashed_items")
-      .add(cur.crashed_items - prev.crashed_items);
-  const net::BusStats bus_after = im.bus.stats();
-  reg.counter("fault.drops")
-      .add(bus_after.messages_dropped - im.bus_reported.messages_dropped);
-  reg.counter("fault.partition_drops")
-      .add(bus_after.messages_partition_dropped -
-           im.bus_reported.messages_partition_dropped);
-  reg.counter("fault.duplicates")
-      .add(bus_after.messages_duplicated - im.bus_reported.messages_duplicated);
-  reg.counter("fault.delayed_msgs")
-      .add(bus_after.messages_delayed - im.bus_reported.messages_delayed);
-  reg.counter("fault.crashes").add(cur.crashed_items - prev.crashed_items);
-  im.reported = cur;
-  im.bus_reported = bus_after;
-  im.allocations_reported = net::Payload::allocations();
+// Phase 2: drain one live inbox generationally — round-r messages are
+// kept, older rounds are discarded as stale, newer rounds stay parked —
+// drop late (past-deadline) deliveries, and sort the survivors by
+// (sender, device_type) so averaging order never depends on delivery
+// interleaving. Crashed agents keep their backlog; a later drain
+// discards it as stale. Agents without items drain too, so their inboxes
+// never pile up across rounds.
+void ParamExchange::drain_agent(std::size_t a, std::uint64_t round_id) {
+  const auto agent = static_cast<net::AgentId>(a);
+  auto& kept = inboxes_[a];
+  kept.clear();
+  if (options_.policy.failures.crashed(agent, round_id)) return;
+  std::size_t stale = 0;
+  auto raw = bus_.drain_round(agent, round_id, &stale);
+  if (a == 0 && !hub_keep_.empty()) {
+    raw.insert(raw.end(), std::make_move_iterator(hub_keep_.begin()),
+               std::make_move_iterator(hub_keep_.end()));
+    hub_keep_.clear();
+  }
+  const double deadline = options_.policy.round_deadline_s;
+  std::uint64_t late = 0;
+  kept.reserve(raw.size());
+  for (auto& m : raw) {
+    if (m.round != round_id) {  // a relayed copy of an older round
+      ++stale;
+      continue;
+    }
+    if (deadline > 0.0 && m.arrival_s > deadline) {
+      ++late;
+      continue;
+    }
+    kept.push_back(std::move(m));
+  }
+  std::sort(kept.begin(), kept.end(),
+            [](const net::Message& x, const net::Message& y) {
+              if (x.sender != y.sender) return x.sender < y.sender;
+              return x.device_type < y.device_type;
+            });
+  bump(tally_.stale_msgs, stale);
+  bump(tally_.late_msgs, late);
+}
+
+// Phase 3: participation-weighted grouped average for one item.
+// Contributions are deduped per (sender, device_type) — duplicated
+// deliveries collapse to one vote, so every unique participant that made
+// the deadline weighs exactly 1/K in the mean. An item whose group misses
+// the quorum (or min_group) keeps its local parameters untouched: one
+// more item-round of staleness, never an average over garbage. Items only
+// read the drained inboxes and the sent payloads and write their own
+// in_place span (or local scratch), so distinct items may run
+// concurrently.
+void ParamExchange::aggregate_item(std::size_t i, const CommitFn& commit) {
+  if (!live_[i]) return;
+  const ExchangeItem& item = items_[i];
+  const ExchangePolicy& policy = options_.policy;
+  const std::size_t shared_len = item.send.size();
+  std::vector<std::span<const double>> contributions;
+  contributions.push_back(sent_[i]);
+  bool have_prev = false;
+  net::AgentId prev_sender = 0;
+  for (const auto& m : inboxes_[item.agent]) {
+    if (m.device_type != item.device_type) continue;
+    if (m.sender == item.agent) continue;  // echo guard
+    if (have_prev && m.sender == prev_sender) {  // duplicate delivery
+      bump(tally_.duplicates);
+      continue;
+    }
+    have_prev = true;
+    prev_sender = m.sender;
+    if (m.payload.size() != shared_len) {  // shape guard
+      bump(tally_.rejected);
+      continue;
+    }
+    contributions.push_back(m.payload);
+    bump(tally_.accepted);
+  }
+
+  const std::size_t nominal = groups_.at(item.device_type).size();
+  std::size_t required = options_.min_group;
+  if (policy.quorum_fraction > 0.0) {
+    required = std::max(
+        required, static_cast<std::size_t>(std::ceil(
+                      policy.quorum_fraction * static_cast<double>(nominal))));
+  }
+  if (contributions.size() < required) {  // local fallback
+    bump(tally_.local_fallbacks);
+    if (policy.quorum_fraction > 0.0) bump(tally_.quorum_missed);
+    return;
+  }
+  if (policy.quorum_fraction > 0.0) bump(tally_.quorum_met);
+
+  std::vector<double> scratch;
+  std::span<const double> averaged;
+  if (!item.in_place.empty()) {
+    // Eq. 7 in place: the shared prefix of the live parameter span is
+    // overwritten; the suffix (Eq. 8's personalization layers) is never
+    // touched.
+    fedavg_prefix(contributions, shared_len, item.in_place);
+    averaged = std::span<const double>(item.in_place).subspan(0, shared_len);
+  } else {
+    scratch.assign(shared_len, 0.0);
+    fedavg(contributions, scratch);
+    averaged = scratch;
+  }
+  bump(tally_.items_averaged);
+  bump(tally_.params_averaged, shared_len);
+  if (group_hist_ != nullptr) {
+    group_hist_->observe(static_cast<double>(contributions.size()));
+  }
+  if (caller_hist_ != nullptr) {
+    caller_hist_->observe(static_cast<double>(contributions.size()));
+  }
+  if (commit) commit(i, averaged);
+}
+
+ExchangeStats ParamExchange::round(std::uint64_t round_id,
+                                   const CommitFn& commit) {
+  // A barrier round reports exactly its own deltas.
+  reported_ = mark();
+  for (std::size_t i = 0; i < items_.size(); ++i) broadcast_item(i, round_id);
+  // Tick barrier: hand parked cross-shard traffic over to the inboxes as
+  // one batch per shard pair, in pinned (src, dst) order. No-op without
+  // an attached net::ShardRouter.
+  bus_.flush_shard_batches();
+  relay_via_hub(round_id);
+  // Inboxes and items are independent, and every tally is an
+  // order-independent sum, so fanning out changes no result.
+  const auto fan_out = [&](std::size_t n,
+                           const std::function<void(std::size_t)>& body) {
+    if (bus_.shard_router() != nullptr) {
+      util::ThreadPool::global().parallel_for(0, n, body);
+    } else {
+      for (std::size_t k = 0; k < n; ++k) body(k);
+    }
+  };
+  fan_out(bus_.num_agents(), [&](std::size_t a) { drain_agent(a, round_id); });
+  fan_out(items_.size(), [&](std::size_t i) { aggregate_item(i, commit); });
+  for (auto& inbox : inboxes_) inbox.clear();
+  return record_metrics(1);
+}
+
+void ParamExchange::publish_shard(std::size_t shard, std::uint64_t round_id) {
+  if (!pipelinable(bus_)) {
+    throw std::logic_error(
+        "ParamExchange: star hub stages and stochastic fault draws need the "
+        "barrier schedule");
+  }
+  for (std::size_t i = item_begin_[shard]; i < item_begin_[shard + 1]; ++i) {
+    broadcast_item(i, round_id);
+  }
+  bus_.flush_shard_batches_from(shard);
+}
+
+void ParamExchange::apply_shard(std::size_t shard, std::uint64_t round_id,
+                                const CommitFn& commit) {
+  // No pipelinable() check here: apply needs its own shard's publish first.
+  for (std::size_t a = agent_begin_[shard]; a < agent_begin_[shard + 1]; ++a) {
+    drain_agent(a, round_id);
+  }
+  for (std::size_t i = item_begin_[shard]; i < item_begin_[shard + 1]; ++i) {
+    aggregate_item(i, commit);
+  }
+  for (std::size_t a = agent_begin_[shard]; a < agent_begin_[shard + 1]; ++a) {
+    inboxes_[a].clear();
+  }
+}
+
+ExchangeStats ParamExchange::record_metrics(std::uint64_t rounds_completed) {
+  const Mark now = mark();
+  ExchangeStats d = minus(now.stats, reported_.stats);
+  d.payload_allocations = now.allocations - reported_.allocations;
+  if (options_.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *options_.metrics;
+    reg.counter("exchange.rounds").add(rounds_completed);
+    reg.counter("exchange.items").add(items_.size() * rounds_completed);
+    reg.counter("exchange.payload_copies").add(d.payload_allocations);
+    reg.counter("exchange.relays").add(d.relayed);
+    reg.counter("exchange.quorum_met").add(d.quorum_met);
+    reg.counter("exchange.quorum_missed").add(d.quorum_missed);
+    reg.counter("exchange.stale_rounds").add(d.local_fallbacks);
+    reg.counter("exchange.stale_msgs").add(d.stale_msgs);
+    reg.counter("exchange.late_msgs").add(d.late_msgs);
+    reg.counter("exchange.duplicate_msgs").add(d.duplicates);
+    reg.counter("exchange.crashed_items").add(d.crashed_items);
+    reg.counter("exchange.retries").add(d.retries);
+    // fault.* — the run-wide fault ledger, folded as deltas of this bus's
+    // counters so both federation buses add into one family.
+    const net::BusStats& before = reported_.bus;
+    reg.counter("fault.drops")
+        .add(now.bus.messages_dropped - before.messages_dropped);
+    reg.counter("fault.partition_drops")
+        .add(now.bus.messages_partition_dropped -
+             before.messages_partition_dropped);
+    reg.counter("fault.duplicates")
+        .add(now.bus.messages_duplicated - before.messages_duplicated);
+    reg.counter("fault.delayed_msgs")
+        .add(now.bus.messages_delayed - before.messages_delayed);
+    reg.counter("fault.crashes").add(d.crashed_items);
+  }
+  reported_ = now;
+  return d;
 }
 
 }  // namespace pfdrl::fl

@@ -1,4 +1,4 @@
-// The federated exchange round, as one reusable engine.
+// The federated exchange round: one engine, two schedules.
 //
 // Both of the paper's federation loops — DFL forecast averaging every β
 // hours (Alg. 1) and DRL base-layer averaging every γ hours (Eq. 7) —
@@ -11,15 +11,30 @@
 // configurations of it (gossip-averaging systems — DSGD, FedAvg — treat
 // the exchange round as a primitive, and so do we).
 //
+// A ParamExchange is a session over a fixed item set on one bus. It holds
+// exactly one implementation of each phase — broadcast an item, drain an
+// agent's inbox, aggregate an item, fold the metrics — and two schedules
+// drive those phases:
+//
+//  * Barrier: round(r) broadcasts every item in item order, flushes the
+//    cross-shard batches once, runs the star hub relay/retry stage, then
+//    drains every agent and aggregates every item. With a shard router on
+//    the bus the drain and aggregate steps fan out per agent and per item
+//    on the global pool. Deliveries happen in one fixed order, so the
+//    per-bus fault stream is drawn identically on every run.
+//  * Pipelined: publish_shard(s, r) / apply_shard(s, r) are the same
+//    phases cut at shard boundaries, so core::RoundPipeline can overlap
+//    one shard's exchange with another's compute (docs/scaling.md).
+//    Deliveries then happen in schedule order, so this schedule is only
+//    for buses where pipelinable() holds.
+//
+// Where both schedules apply they produce the same bits: every item
+// averages the same round-r contribution set in the same sorted order.
+//
 // Zero-copy: outgoing slices become one net::Payload allocation each; the
 // bus fans out refcounted handles, so a full-mesh broadcast is O(1)
 // payload allocations regardless of receiver count. The engine reports
-// the per-round allocation count as `exchange.payload_copies`.
-//
-// Determinism: inboxes are sorted by (sender, device_type) before
-// averaging and items are processed in caller order, so results are
-// bit-reproducible regardless of delivery interleaving — the property
-// the fixed-seed golden test pins down.
+// the allocation count as `exchange.payload_copies`.
 //
 // Degradation: rounds are deadline-based when ExchangePolicy asks for it.
 // Each round drains whatever arrived by the per-round deadline (in
@@ -35,6 +50,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +60,7 @@
 #include "net/fault.hpp"
 
 namespace pfdrl::obs {
+class Histogram;
 class MetricsRegistry;
 }
 
@@ -133,6 +150,13 @@ struct ExchangeStats {
   std::uint64_t retries = 0;
 };
 
+/// True when the pipelined schedule may drive rounds on `bus`. Star
+/// topologies are out (the hub relay/retry stage needs every leaf's
+/// broadcast before it can start), and so are fault plans with stochastic
+/// draws (FaultPlan::deterministic_delivery(): overlapped rounds would
+/// consume the per-bus fault stream in a schedule-dependent order).
+[[nodiscard]] bool pipelinable(const net::MessageBus& bus) noexcept;
+
 class ParamExchange {
  public:
   struct Options {
@@ -154,101 +178,112 @@ class ParamExchange {
     /// Deadline / quorum / retry / failure-schedule policy; the default
     /// reproduces the original always-everything round.
     ExchangePolicy policy{};
-    /// Run the drain/filter/sort and per-item aggregation phases on the
-    /// global thread pool (the sharded engine sets this when shards > 1).
-    /// Results are bitwise identical to the serial path: every inbox and
-    /// every item is independent, contributions are sorted before
-    /// averaging, and stat counters are order-independent sums. The
-    /// commit callback must then be safe to invoke concurrently for
-    /// distinct items (both in-tree consumers write to per-item targets).
-    bool parallel = false;
   };
 
   /// Invoked for every averaged item after its result landed; `averaged`
   /// aliases item.in_place for in-place items and engine scratch
   /// otherwise (consumers without a mutable flat span call
-  /// set_parameters here; consumers with one use it to notify).
+  /// set_parameters here; consumers with one use it to notify). With a
+  /// shard router on the bus, or under the pipelined schedule, it runs
+  /// concurrently for distinct items.
   using CommitFn =
       std::function<void(std::size_t item, std::span<const double> averaged)>;
 
-  ParamExchange(net::MessageBus& bus, Options options);
+  /// A session over `items`, which must be sorted ascending by agent (an
+  /// agent may own several items) and name agents that exist on the bus;
+  /// std::invalid_argument otherwise. The spans must stay valid for the
+  /// session's lifetime. Item indices are the ones CommitFn reports.
+  ParamExchange(net::MessageBus& bus, Options options,
+                std::vector<ExchangeItem> items);
+  ~ParamExchange();
 
-  /// One full round: broadcast, optional star relay, drain, sort, shape
-  /// guard, grouped average, commit. The star relay triggers off the
-  /// bus's own topology. Items must be in deterministic caller order
-  /// (ascending agent recommended); an agent may own several items.
-  ExchangeStats round(std::span<const ExchangeItem> items,
-                      std::uint64_t round_id, const CommitFn& commit);
+  ParamExchange(const ParamExchange&) = delete;
+  ParamExchange& operator=(const ParamExchange&) = delete;
 
- private:
-  net::MessageBus& bus_;
-  Options options_;
-};
-
-/// The same exchange round as ParamExchange, carved into per-shard
-/// publish/apply stages so the dependency-driven round pipeline
-/// (core::RoundPipeline, docs/scaling.md) can overlap one shard's
-/// encode/route with another's compute instead of running the round
-/// behind a global barrier.
-///
-/// Contract: construct once per pipelined run with items sorted
-/// ascending by agent. For every round r, publish_shard(s, r) must run
-/// before apply_shard(d, r) for every shard d that s broadcasts into
-/// (readiness is the pipeline's job); within one shard the calls are
-/// sequential. Outgoing payloads are refcounted net::Payload handles, so
-/// a shard publishing round r+1 never invalidates the round-r frames a
-/// slower neighbor is still aggregating — the handles ARE the double
-/// buffer. Inboxes are drained generationally (MessageBus::drain_round):
-/// round-r messages are extracted, older rounds are discarded as stale,
-/// newer rounds stay parked.
-///
-/// Exclusions, enforced at construction: star topologies (the hub
-/// relay/retry protocol is a whole-round barrier by nature) and fault
-/// plans with stochastic draws (FaultPlan::deterministic_delivery() —
-/// overlapped rounds would consume the shared per-bus fault stream in a
-/// schedule-dependent order). Callers fall back to ParamExchange::round
-/// for those configurations.
-///
-/// Stats accumulate across rounds (order-independent atomic sums, so
-/// totals are bitwise identical to the per-round BSP stats);
-/// record_metrics() folds exchange.*/fault.* deltas per segment instead
-/// of per round.
-class StagedExchange {
- public:
-  StagedExchange(net::MessageBus& bus, ParamExchange::Options options,
-                 std::vector<ExchangeItem> items);
-  ~StagedExchange();
-
-  StagedExchange(const StagedExchange&) = delete;
-  StagedExchange& operator=(const StagedExchange&) = delete;
-
+  [[nodiscard]] std::span<const ExchangeItem> items() const noexcept {
+    return items_;
+  }
   /// Shard count, derived from the bus's attached router (1 when flat).
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_; }
 
-  /// Phase 1 for `shard` at `round_id`: broadcast every live owned item
-  /// and hand the shard's cross-shard pair batches over (flush_src).
+  /// Barrier schedule: one whole round. Returns that round's stats and
+  /// folds its exchange.* / fault.* metrics.
+  ExchangeStats round(std::uint64_t round_id, const CommitFn& commit);
+
+  /// Pipelined schedule, phase 1 for `shard` at `round_id`: broadcast
+  /// every live owned item and hand the shard's cross-shard pair batches
+  /// over. Throws std::logic_error unless pipelinable(bus).
+  ///
+  /// For every round r, publish_shard(s, r) must run before
+  /// apply_shard(d, r) for every shard d that s broadcasts into
+  /// (readiness is the pipeline's job); within one shard the calls are
+  /// sequential. Outgoing payloads are refcounted handles, so a shard
+  /// publishing round r+1 never invalidates the round-r frames a slower
+  /// neighbor is still aggregating — the handles are the double buffer.
   void publish_shard(std::size_t shard, std::uint64_t round_id);
 
-  /// Phases 2+3 for `shard` at `round_id`: generational drain of the
-  /// shard's inboxes, deadline filter, pinned (sender, device_type)
-  /// sort, grouped average, commit. Every in-neighbor shard must have
-  /// published `round_id` first.
+  /// Pipelined schedule, phases 2+3 for `shard` at `round_id`: drain the
+  /// shard's inboxes generationally (MessageBus::drain_round — newer
+  /// rounds stay parked), then aggregate and commit its items. Every
+  /// in-neighbor shard must have published `round_id` first.
   void apply_shard(std::size_t shard, std::uint64_t round_id,
-                   const ParamExchange::CommitFn& commit);
+                   const CommitFn& commit);
 
-  /// Cumulative stats over all staged rounds so far.
-  [[nodiscard]] ExchangeStats stats() const;
-
-  /// Fold exchange.* / fault.* metric deltas accumulated since the last
-  /// call (or construction); `rounds_completed` is the number of staged
-  /// rounds in the window. BSP records per round, the staged engine per
-  /// segment — the counter totals agree.
-  void record_metrics(std::uint64_t rounds_completed);
+  /// Fold the exchange.* / fault.* metric deltas of the
+  /// `rounds_completed` pipelined rounds since the previous fold (or
+  /// construction) and return their summed stats. Counter totals agree
+  /// with the barrier schedule's per-round folds.
+  ExchangeStats record_metrics(std::uint64_t rounds_completed);
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  /// Baseline of one metric window.
+  struct Mark {
+    ExchangeStats stats;
+    net::BusStats bus;
+    std::uint64_t allocations = 0;
+  };
+
+  [[nodiscard]] Mark mark() const;
+  void broadcast_item(std::size_t i, std::uint64_t round_id);
+  void relay_via_hub(std::uint64_t round_id);
+  void drain_agent(std::size_t a, std::uint64_t round_id);
+  void aggregate_item(std::size_t i, const CommitFn& commit);
+
+  net::MessageBus& bus_;
+  Options options_;
+  std::vector<ExchangeItem> items_;
+  /// Nominal aggregation groups: the sorted agent list per device type.
+  /// Needed for secure masking (masks cancel exactly within a full
+  /// group), to know whether a device has homologous peers at all, and as
+  /// the quorum denominator — crashed members still count, so a shrinking
+  /// live set shows up as a falling quorum fill, not a moving target.
+  std::map<std::uint32_t, std::vector<net::AgentId>> groups_;
   std::size_t shards_ = 1;
+  /// Contiguous per-shard slices (size shards_ + 1): shard s owns items
+  /// [item_begin_[s], item_begin_[s+1]) and agents [agent_begin_[s],
+  /// agent_begin_[s+1]). Contiguity holds because items are sorted by
+  /// agent and the shard map is monotone in the agent id.
+  std::vector<std::size_t> item_begin_;
+  std::vector<std::size_t> agent_begin_;
+  /// Per-item send slots: the (possibly masked) payload each live item
+  /// broadcast this round, which is also its own contribution.
+  std::vector<net::Payload> sent_;
+  std::vector<char> live_;
+  /// Drained, filtered and sorted inboxes, indexed by agent; cleared once
+  /// their items aggregated so the round's payload handles are released.
+  std::vector<std::vector<net::Message>> inboxes_;
+  /// Messages the star hub drained for relaying; the hub aggregates from
+  /// these copies instead of looping them back through the network.
+  std::vector<net::Message> hub_keep_;
+  obs::Histogram* group_hist_ = nullptr;
+  obs::Histogram* caller_hist_ = nullptr;
+  /// Cumulative stats over the session (payload_allocations unused).
+  /// Phases add through relaxed atomic refs — order-independent sums, so
+  /// totals never depend on which worker or shard added them — and the
+  /// schedules read it only while no phase runs.
+  ExchangeStats tally_;
+  /// Baseline of the current metric window.
+  Mark reported_;
 };
 
 }  // namespace pfdrl::fl

@@ -168,6 +168,7 @@ std::vector<Message> MessageBus::drain_round(AgentId agent,
   auto& inbox = *inboxes_.at(agent);
   std::lock_guard lock(inbox.mutex);
   std::vector<Message> out;
+  out.reserve(inbox.queue.size());
   std::size_t stale = 0;
   for (auto it = inbox.queue.begin(); it != inbox.queue.end();) {
     if (it->round == round) {

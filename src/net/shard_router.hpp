@@ -85,13 +85,12 @@ class ShardRouter {
   std::size_t flush_src(std::size_t src,
                         const std::function<void(AgentId, Message&&)>& deliver);
 
-  /// Toggle the single-generation batch invariant. The pipelined engine
-  /// flushes a source row before that shard's next round can publish, so
-  /// while a staged session is active a pair batch must never hold two
-  /// round generations — enqueue() throws if one does. The
-  /// bulk-synchronous contract is looser (a lagging flusher may park
-  /// several rounds), so the check is off by default;
-  /// fl::StagedExchange turns it on for the session's duration.
+  /// Toggle the single-generation batch invariant. Both exchange
+  /// schedules flush a round's batches before the next round can publish,
+  /// so while an fl::ParamExchange session is live a pair batch must never
+  /// hold two round generations — enqueue() throws if one does. A bare bus
+  /// may let a lagging flusher park several rounds, so the check is off
+  /// by default; every session turns it on for its lifetime.
   void set_strict_rounds(bool strict) noexcept {
     strict_rounds_.store(strict, std::memory_order_relaxed);
   }

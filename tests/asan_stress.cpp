@@ -63,7 +63,7 @@ int main() {
   }
 
   // Phase 2: exchange rounds hammered from pool workers, each worker
-  // with its own bus + engine (the engine is a per-round object; this
+  // with its own bus + exchange session (one round per session; this
   // stresses allocation/teardown and the secure-masking path).
   {
     util::ThreadPool pool(4);
@@ -86,7 +86,6 @@ int main() {
       if (j % 3 == 0 && kind == net::TopologyKind::kFullMesh) {
         options.secure = &aggregator;
       }
-      fl::ParamExchange exchange(bus, options);
       std::vector<fl::ExchangeItem> items;
       for (std::size_t a = 0; a < n; ++a) {
         items.push_back({.agent = static_cast<net::AgentId>(a),
@@ -94,7 +93,8 @@ int main() {
                          .send = std::span<const double>(params[a]).subspan(0, 32),
                          .in_place = params[a]});
       }
-      const auto stats = exchange.round(items, j, {});
+      fl::ParamExchange exchange(bus, options, std::move(items));
+      const auto stats = exchange.round(j, {});
       if (stats.items_averaged != n) {
         std::fprintf(stderr, "FAIL: job %zu averaged %llu of %zu items\n", j,
                      static_cast<unsigned long long>(stats.items_averaged), n);

@@ -89,19 +89,19 @@ SoakTotals soak(net::TopologyKind kind, std::uint64_t seed,
   net::MessageBus bus(net::Topology(kind, n), everything_plan(seed));
   ParamExchange::Options options;
   options.policy = everything_policy();
-  ParamExchange exchange(bus, options);
+  std::vector<ExchangeItem> items;
+  for (std::size_t a = 0; a < n; ++a) {
+    items.push_back({.agent = static_cast<net::AgentId>(a),
+                     // Two device-type groups of four homes each.
+                     .device_type = static_cast<std::uint32_t>(a % 2),
+                     .send = params[a],
+                     .in_place = params[a]});
+  }
+  ParamExchange exchange(bus, options, std::move(items));
 
   SoakTotals totals;
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    std::vector<ExchangeItem> items;
-    for (std::size_t a = 0; a < n; ++a) {
-      items.push_back({.agent = static_cast<net::AgentId>(a),
-                       // Two device-type groups of four homes each.
-                       .device_type = static_cast<std::uint32_t>(a % 2),
-                       .send = params[a],
-                       .in_place = params[a]});
-    }
-    const auto stats = exchange.round(items, r, {});
+    const auto stats = exchange.round(r, {});
 
     // Conservation: every live item either averaged or fell back.
     EXPECT_EQ(stats.items_averaged + stats.local_fallbacks +

@@ -1,15 +1,19 @@
 // ParamExchange engine unit tests: grouped averaging, shape guard, star
-// relay, secure-aggregation masking, in-place prefix averaging, and the
+// relay, secure-aggregation masking, in-place prefix averaging, the
 // zero-copy allocation guarantee (payload copies scale with items, not
-// receivers).
+// receivers), item validation, and the pipelined schedule's agreement
+// with the barrier schedule.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fl/exchange.hpp"
 #include "fl/secure_agg.hpp"
 #include "net/bus.hpp"
+#include "net/shard_router.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 
@@ -44,12 +48,11 @@ TEST(ParamExchange, FullMeshAveragesPerGroup) {
   const std::size_t n = 3;
   auto params = make_params(n, 4);
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
-  ParamExchange exchange(bus, {});
-  auto items = make_items(params);
+  ParamExchange exchange(bus, {}, make_items(params));
 
   std::vector<std::vector<double>> committed(n);
-  const auto stats = exchange.round(
-      items, 0, [&](std::size_t i, std::span<const double> averaged) {
+  const auto stats =
+      exchange.round(0, [&](std::size_t i, std::span<const double> averaged) {
         committed[i].assign(averaged.begin(), averaged.end());
       });
 
@@ -75,9 +78,8 @@ TEST(ParamExchange, PayloadCopiesScaleWithItemsNotReceivers) {
     obs::MetricsRegistry reg;
     ParamExchange::Options options;
     options.metrics = &reg;
-    ParamExchange exchange(bus, options);
-    auto items = make_items(params);
-    const auto stats = exchange.round(items, 0, {});
+    ParamExchange exchange(bus, options, make_items(params));
+    const auto stats = exchange.round(0, {});
     EXPECT_EQ(stats.payload_allocations, n) << "receivers=" << n - 1;
     EXPECT_EQ(reg.counter("exchange.payload_copies").value(), n);
     EXPECT_EQ(reg.counter("exchange.items").value(), n);
@@ -90,12 +92,11 @@ TEST(ParamExchange, ShapeGuardRejectsMismatchedContributions) {
   auto params = make_params(n, 4);
   params[2].resize(6, 0.0);  // odd one out
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
-  ParamExchange exchange(bus, {});
-  auto items = make_items(params);
+  ParamExchange exchange(bus, {}, make_items(params));
 
   std::vector<bool> touched(n, false);
   const auto stats =
-      exchange.round(items, 0, [&](std::size_t i, std::span<const double>) {
+      exchange.round(0, [&](std::size_t i, std::span<const double>) {
         touched[i] = true;
       });
 
@@ -113,7 +114,6 @@ TEST(ParamExchange, DisjointTypesNeverMix) {
   const std::size_t n = 2;
   auto params = make_params(n, 3);
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
-  ParamExchange exchange(bus, {});
   std::vector<ExchangeItem> items;
   for (std::size_t a = 0; a < n; ++a) {
     items.push_back({.agent = static_cast<net::AgentId>(a),
@@ -121,8 +121,9 @@ TEST(ParamExchange, DisjointTypesNeverMix) {
                      .send = params[a],
                      .in_place = {}});
   }
-  const auto stats = exchange.round(
-      items, 0, [](std::size_t, std::span<const double>) { FAIL(); });
+  ParamExchange exchange(bus, {}, std::move(items));
+  const auto stats =
+      exchange.round(0, [](std::size_t, std::span<const double>) { FAIL(); });
   EXPECT_EQ(stats.accepted, 0u);
   EXPECT_EQ(stats.items_averaged, 0u);
 }
@@ -131,12 +132,11 @@ TEST(ParamExchange, StarHubRelaysLeafContributions) {
   const std::size_t n = 3;
   auto params = make_params(n, 4);
   net::MessageBus bus(net::Topology(net::TopologyKind::kStar, n));
-  ParamExchange exchange(bus, {});
-  auto items = make_items(params);
+  ParamExchange exchange(bus, {}, make_items(params));
 
   std::vector<std::vector<double>> committed(n);
-  const auto stats = exchange.round(
-      items, 0, [&](std::size_t i, std::span<const double> averaged) {
+  const auto stats =
+      exchange.round(0, [&](std::size_t i, std::span<const double> averaged) {
         committed[i].assign(averaged.begin(), averaged.end());
       });
 
@@ -160,7 +160,6 @@ TEST(ParamExchange, InPlacePrefixLeavesPersonalizationSuffix) {
   auto params = make_params(n, len);
   const auto original = params;
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
-  ParamExchange exchange(bus, {});
   std::vector<ExchangeItem> items;
   for (std::size_t a = 0; a < n; ++a) {
     items.push_back({.agent = static_cast<net::AgentId>(a),
@@ -168,9 +167,10 @@ TEST(ParamExchange, InPlacePrefixLeavesPersonalizationSuffix) {
                      .send = std::span<const double>(params[a]).subspan(0, prefix),
                      .in_place = params[a]});
   }
+  ParamExchange exchange(bus, {}, std::move(items));
   std::size_t commits = 0;
-  const auto stats = exchange.round(
-      items, 0, [&](std::size_t, std::span<const double> averaged) {
+  const auto stats =
+      exchange.round(0, [&](std::size_t, std::span<const double> averaged) {
         EXPECT_EQ(averaged.size(), prefix);
         ++commits;
       });
@@ -191,10 +191,9 @@ TEST(ParamExchange, SecureMasksCancelInTheMean) {
   const std::size_t n = 3;
   auto params = make_params(n, 8);
   net::MessageBus plain_bus(net::Topology(net::TopologyKind::kFullMesh, n));
-  ParamExchange plain(plain_bus, {});
-  auto items = make_items(params);
+  ParamExchange plain(plain_bus, {}, make_items(params));
   std::vector<std::vector<double>> want(n);
-  plain.round(items, 5, [&](std::size_t i, std::span<const double> averaged) {
+  plain.round(5, [&](std::size_t i, std::span<const double> averaged) {
     want[i].assign(averaged.begin(), averaged.end());
   });
 
@@ -202,9 +201,9 @@ TEST(ParamExchange, SecureMasksCancelInTheMean) {
   net::MessageBus masked_bus(net::Topology(net::TopologyKind::kFullMesh, n));
   ParamExchange::Options options;
   options.secure = &aggregator;
-  ParamExchange masked(masked_bus, options);
+  ParamExchange masked(masked_bus, options, make_items(params));
   std::vector<std::vector<double>> got(n);
-  masked.round(items, 5, [&](std::size_t i, std::span<const double> averaged) {
+  masked.round(5, [&](std::size_t i, std::span<const double> averaged) {
     got[i].assign(averaged.begin(), averaged.end());
   });
 
@@ -216,6 +215,77 @@ TEST(ParamExchange, SecureMasksCancelInTheMean) {
       EXPECT_NEAR(got[a][i], want[a][i], 1e-9);
     }
   }
+}
+
+TEST(ParamExchange, RejectsItemForAgentNotOnTheBus) {
+  auto params = make_params(3, 4);
+  net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 2));
+  // Agent 2 does not exist on a 2-agent bus: its inbox would be read out
+  // of bounds at aggregation.
+  EXPECT_THROW(ParamExchange(bus, {}, make_items(params)),
+               std::invalid_argument);
+}
+
+TEST(ParamExchange, RejectsItemsNotSortedByAgent) {
+  auto params = make_params(3, 4);
+  net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 3));
+  auto items = make_items(params);
+  std::swap(items[0], items[2]);
+  EXPECT_THROW(ParamExchange(bus, {}, std::move(items)),
+               std::invalid_argument);
+}
+
+TEST(ParamExchange, PipelinedScheduleMatchesBarrierRounds) {
+  // Same sharded bus and item set, driven once by barrier rounds and once
+  // shard by shard (every shard publishes before any applies): identical
+  // parameters and identical cumulative stats.
+  const std::size_t n = 8;
+  const auto run = [&](bool pipelined) {
+    auto params = make_params(n, 5);
+    net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, n));
+    net::ShardRouter router(n, 4);
+    bus.set_shard_router(&router);
+    ParamExchange exchange(bus, {}, make_items(params, /*type=*/3));
+    EXPECT_EQ(exchange.num_shards(), 4u);
+    ExchangeStats total;
+    for (std::uint64_t r = 0; r < 3; ++r) {
+      for (auto& p : params) p[0] += static_cast<double>(r);
+      if (pipelined) {
+        for (std::size_t s = 0; s < 4; ++s) exchange.publish_shard(s, r);
+        for (std::size_t s = 0; s < 4; ++s) exchange.apply_shard(s, r, {});
+      } else {
+        const auto st = exchange.round(r, {});
+        total.accepted += st.accepted;
+        total.items_averaged += st.items_averaged;
+      }
+    }
+    if (pipelined) total = exchange.record_metrics(3);
+    return std::make_pair(params, total);
+  };
+  const auto [barrier, barrier_stats] = run(false);
+  const auto [pipelined, pipelined_stats] = run(true);
+  EXPECT_EQ(barrier, pipelined);  // bitwise
+  EXPECT_EQ(barrier_stats.accepted, pipelined_stats.accepted);
+  EXPECT_EQ(barrier_stats.items_averaged, pipelined_stats.items_averaged);
+  EXPECT_EQ(pipelined_stats.items_averaged, 3 * n);
+}
+
+TEST(ParamExchange, PipelinedScheduleRefusesStarAndStochasticFaults) {
+  auto params = make_params(3, 4);
+  net::MessageBus star(net::Topology(net::TopologyKind::kStar, 3));
+  ParamExchange on_star(star, {}, make_items(params));
+  EXPECT_FALSE(pipelinable(star));
+  EXPECT_THROW(on_star.publish_shard(0, 0), std::logic_error);
+
+  net::FaultPlan lossy;
+  lossy.link.drop_probability = 0.1;
+  net::MessageBus mesh(net::Topology(net::TopologyKind::kFullMesh, 3), lossy);
+  ParamExchange on_lossy(mesh, {}, make_items(params));
+  EXPECT_FALSE(pipelinable(mesh));
+  EXPECT_THROW(on_lossy.publish_shard(0, 0), std::logic_error);
+  // The barrier schedule serves both.
+  EXPECT_NO_THROW(on_star.round(0, {}));
+  EXPECT_NO_THROW(on_lossy.round(0, {}));
 }
 
 }  // namespace

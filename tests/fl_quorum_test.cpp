@@ -50,10 +50,9 @@ TEST(QuorumRounds, CrashedAgentSkipsRoundOthersAverage) {
   ExchangePolicy policy;
   policy.failures.crashes.push_back({.agent = 2, .from_round = 0,
                                      .until_round = 1});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-  const auto stats = exchange.round(items, 0, {});
+  const auto stats = exchange.round(0, {});
   EXPECT_EQ(stats.crashed_items, 1u);
   EXPECT_EQ(stats.items_averaged, 2u);
   EXPECT_EQ(stats.accepted, 2u);  // agents 0 and 1 accept each other only
@@ -73,11 +72,10 @@ TEST(QuorumRounds, MissedQuorumFallsBackToLocal) {
   policy.quorum_fraction = 1.0;  // need the whole nominal group
   policy.failures.crashes.push_back({.agent = 2, .from_round = 0,
                                      .until_round = 1});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-  const auto stats = exchange.round(
-      items, 0, [](std::size_t, std::span<const double>) { FAIL(); });
+  const auto stats =
+      exchange.round(0, [](std::size_t, std::span<const double>) { FAIL(); });
   // The crashed member still counts toward the nominal group of 3, so
   // 2/3 misses a 1.0 quorum and every live item keeps local parameters.
   EXPECT_EQ(stats.items_averaged, 0u);
@@ -98,10 +96,9 @@ TEST(QuorumRounds, PartialQuorumStillAverages) {
   policy.quorum_fraction = 0.75;  // 3 of the nominal 4
   policy.failures.crashes.push_back({.agent = 3, .from_round = 0,
                                      .until_round = 1});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-  const auto stats = exchange.round(items, 0, {});
+  const auto stats = exchange.round(0, {});
   EXPECT_EQ(stats.items_averaged, 3u);
   EXPECT_EQ(stats.quorum_met, 3u);
   EXPECT_EQ(stats.quorum_missed, 0u);
@@ -113,18 +110,16 @@ TEST(QuorumRounds, DuplicatedDeliveriesCollapseToOneVote) {
   auto clean = make_params(2, 4);
   {
     net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 2));
-    ParamExchange exchange(bus, {});
-    auto items = make_items(clean);
-    exchange.round(items, 0, {});
+    ParamExchange exchange(bus, {}, make_items(clean));
+    exchange.round(0, {});
   }
 
   auto params = make_params(2, 4);
   net::FaultPlan plan;
   plan.duplicate_probability = 1.0;  // every delivery enqueued twice
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 2), plan);
-  ParamExchange exchange(bus, {});
-  auto items = make_items(params);
-  const auto stats = exchange.round(items, 0, {});
+  ParamExchange exchange(bus, {}, make_items(params));
+  const auto stats = exchange.round(0, {});
 
   EXPECT_EQ(stats.duplicates, 2u);  // one collapsed copy per receiver
   EXPECT_EQ(stats.accepted, 2u);    // each unique sender weighs once
@@ -141,12 +136,11 @@ TEST(QuorumRounds, CrashBacklogDiscardedAsStaleAfterRestart) {
   ExchangePolicy policy;
   policy.failures.crashes.push_back({.agent = 1, .from_round = 0,
                                      .until_round = 1});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
   // Round 0: agent 1 is down. Agent 0's broadcast piles up in the dark
   // inbox; agent 0 itself hears nothing and falls back to local.
-  const auto r0 = exchange.round(items, 0, {});
+  const auto r0 = exchange.round(0, {});
   EXPECT_EQ(r0.crashed_items, 1u);
   EXPECT_EQ(r0.local_fallbacks, 1u);
   EXPECT_EQ(r0.items_averaged, 0u);
@@ -154,8 +148,7 @@ TEST(QuorumRounds, CrashBacklogDiscardedAsStaleAfterRestart) {
 
   // Round 1: agent 1 restarts, drains the backlog, and discards the
   // round-0 leftover as stale; the fresh round-1 traffic averages fine.
-  items = make_items(params);
-  const auto r1 = exchange.round(items, 1, {});
+  const auto r1 = exchange.round(1, {});
   EXPECT_EQ(r1.crashed_items, 0u);
   EXPECT_EQ(r1.stale_msgs, 1u);
   EXPECT_EQ(r1.items_averaged, 2u);
@@ -169,10 +162,9 @@ TEST(QuorumRounds, DeadlineDiscardsStragglerContributions) {
   ExchangePolicy policy;
   policy.round_deadline_s = 0.5;
   policy.failures.stragglers.push_back({.agent = 1, .compute_delay_s = 1.0});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-  const auto stats = exchange.round(items, 0, {});
+  const auto stats = exchange.round(0, {});
   // Agent 1 starts 1.0 s late, so its contribution blows the 0.5 s
   // deadline at agent 0 (local fallback); agent 0's on-time broadcast
   // still reaches agent 1, which averages normally.
@@ -200,10 +192,9 @@ TEST(QuorumRounds, StarHubRetriesRecoverDroppedLeafContributions) {
     net::MessageBus bus(net::Topology(net::TopologyKind::kStar, 3), plan);
     ExchangePolicy policy;
     policy.hub_retries = 64;
-    ParamExchange exchange(bus, with_policy(policy));
-    auto items = make_items(params);
+    ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-    const auto stats = exchange.round(items, 0, {});
+    const auto stats = exchange.round(0, {});
     total_retries += stats.retries;
     for (std::size_t i = 0; i < 4; ++i) {
       const double mean =
@@ -223,10 +214,9 @@ TEST(QuorumRounds, CrashedStarHubTakesTheRoundDown) {
   ExchangePolicy policy;
   policy.failures.crashes.push_back({.agent = 0, .from_round = 0,
                                      .until_round = 1});
-  ParamExchange exchange(bus, with_policy(policy));
-  auto items = make_items(params);
+  ParamExchange exchange(bus, with_policy(policy), make_items(params));
 
-  const auto stats = exchange.round(items, 0, {});
+  const auto stats = exchange.round(0, {});
   // No relays without the hub: every live leaf hears nobody.
   EXPECT_EQ(stats.relayed, 0u);
   EXPECT_EQ(stats.items_averaged, 0u);
@@ -248,11 +238,10 @@ TEST(QuorumRounds, PartitionWindowSplitsAveragingBrains) {
   w.group = {0, 1};
   plan.partitions.push_back(w);
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 4), plan);
-  ParamExchange exchange(bus, {});
-  auto items = make_items(params);
+  ParamExchange exchange(bus, {}, make_items(params));
 
   // During the window each side of the split averages only with itself.
-  exchange.round(items, 0, {});
+  exchange.round(0, {});
   for (std::size_t i = 0; i < 4; ++i) {
     const double left = (original[0][i] + original[1][i]) / 2.0;
     const double right = (original[2][i] + original[3][i]) / 2.0;
@@ -263,8 +252,7 @@ TEST(QuorumRounds, PartitionWindowSplitsAveragingBrains) {
   }
 
   // After the window heals the whole neighbourhood converges again.
-  items = make_items(params);
-  exchange.round(items, 1, {});
+  exchange.round(1, {});
   for (std::size_t i = 0; i < 4; ++i) {
     const double mean = (2.0 * (original[0][i] + original[1][i]) / 2.0 +
                          2.0 * (original[2][i] + original[3][i]) / 2.0) /
@@ -280,15 +268,14 @@ TEST(QuorumRounds, DefaultPolicyMatchesLegacyRound) {
   auto legacy = make_params(3, 4);
   {
     net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 3));
-    ParamExchange exchange(bus, {});
-    auto items = make_items(legacy);
-    exchange.round(items, 0, {});
+    ParamExchange exchange(bus, {}, make_items(legacy));
+    exchange.round(0, {});
   }
   auto params = make_params(3, 4);
   net::MessageBus bus(net::Topology(net::TopologyKind::kFullMesh, 3));
-  ParamExchange exchange(bus, with_policy(ExchangePolicy{}));
-  auto items = make_items(params);
-  const auto stats = exchange.round(items, 0, {});
+  ParamExchange exchange(bus, with_policy(ExchangePolicy{}),
+                         make_items(params));
+  const auto stats = exchange.round(0, {});
   EXPECT_EQ(stats.items_averaged, 3u);
   EXPECT_EQ(stats.quorum_met, 0u);  // gate disabled: not counted
   for (std::size_t a = 0; a < 3; ++a) {

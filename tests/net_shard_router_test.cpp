@@ -1,8 +1,8 @@
 // Shard assignment arithmetic, the cross-shard batching router, and the
 // engine-level equivalence contracts the sharded refactor rests on:
 // attaching a router must not change what a clean-plan bus delivers or
-// bills, and the parallel exchange path must be bitwise identical to the
-// serial one.
+// bills, and an exchange round on a routed bus (which fans out on the
+// pool) must be bitwise identical to one on a flat bus.
 #include "net/shard_router.hpp"
 
 #include <gtest/gtest.h>
@@ -169,17 +169,21 @@ TEST(ShardedBus, CleanPlanDeliveryAndBillingUnchanged) {
   EXPECT_EQ(fs.simulated_transfer_seconds, ss.simulated_transfer_seconds);
 }
 
-// --- Parallel exchange is bitwise identical to serial -----------------
+// --- Sharded exchange is bitwise identical to flat --------------------
 
-TEST(ShardedExchange, ParallelMatchesSerialBitwise) {
+// With a router attached the barrier round batches cross-shard traffic
+// and fans its drain and aggregate steps out on the pool; without one it
+// runs them inline. Either way every item averages the same sorted
+// contribution set.
+TEST(ShardedExchange, RouterMatchesNoRouterBitwise) {
   constexpr std::size_t kAgents = 8;
   constexpr std::size_t kParams = 12;
 
-  const auto run = [&](bool parallel) {
+  const auto run = [&](bool with_router) {
     net::MessageBus bus(
         net::Topology(net::TopologyKind::kFullMesh, kAgents), {});
     net::ShardRouter router(kAgents, 4);
-    if (parallel) bus.set_shard_router(&router);
+    if (with_router) bus.set_shard_router(&router);
 
     std::vector<double> params(kAgents * kParams);
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -193,20 +197,19 @@ TEST(ShardedExchange, ParallelMatchesSerialBitwise) {
                   .send = slice,
                   .in_place = slice};
     }
-    fl::ParamExchange::Options opts;
-    opts.parallel = parallel;
-    fl::ParamExchange exchange(bus, opts);
+    fl::ParamExchange exchange(bus, {}, std::move(items));
+    EXPECT_EQ(exchange.num_shards(), with_router ? 4u : 1u);
     for (std::uint64_t r = 0; r < 3; ++r) {
-      exchange.round(items, r, [](std::size_t, std::span<const double>) {});
+      exchange.round(r, [](std::size_t, std::span<const double>) {});
     }
     return params;
   };
 
-  const std::vector<double> serial = run(false);
-  const std::vector<double> parallel = run(true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "param " << i;  // bitwise
+  const std::vector<double> flat = run(false);
+  const std::vector<double> sharded = run(true);
+  ASSERT_EQ(flat.size(), sharded.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flat[i], sharded[i]) << "param " << i;  // bitwise
   }
 }
 

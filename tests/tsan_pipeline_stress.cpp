@@ -1,5 +1,6 @@
 // Data-race stress for the dependency-driven round pipeline: repeated
-// core::RoundPipeline segments driving fl::StagedExchange double buffers
+// core::RoundPipeline segments driving fl::ParamExchange's pipelined
+// schedule (per-shard publish/apply over refcounted payload double buffers)
 // on a 4-worker pool, so the per-(shard, round) readiness counters, the
 // continuation handoff, and the frozen-inbox/live-compute buffer split
 // all run under maximum scheduler pressure. Built with -fsanitize=thread
@@ -84,26 +85,24 @@ fl::ParamExchange::Options exchange_options() {
   return opts;
 }
 
-/// Bulk-synchronous reference: the oracle hash every pipelined rep must
+/// Barrier-schedule reference: the oracle hash every pipelined rep must
 /// reproduce bitwise.
 std::uint64_t run_bsp(const net::Topology& topology) {
   Setup setup(topology);
-  auto opts = exchange_options();
-  opts.parallel = true;
-  fl::ParamExchange exchange(setup.bus, opts);
+  fl::ParamExchange exchange(setup.bus, exchange_options(), setup.items);
   for (std::uint64_t r = 0; r < kRounds; ++r) {
     for (std::size_t a = 0; a < kAgents; ++a) setup.local_step(a, r);
-    exchange.round(setup.items, r, [](std::size_t, std::span<const double>) {});
+    exchange.round(r, [](std::size_t, std::span<const double>) {});
   }
   return fnv1a(setup.params);
 }
 
 std::uint64_t run_pipeline(const net::Topology& topology) {
   Setup setup(topology);
-  fl::StagedExchange staged(setup.bus, exchange_options(), setup.items);
-  if (staged.num_shards() != kShards) {
-    std::fprintf(stderr, "FATAL: staged shard count %zu != %zu\n",
-                 staged.num_shards(), kShards);
+  fl::ParamExchange exchange(setup.bus, exchange_options(), setup.items);
+  if (exchange.num_shards() != kShards) {
+    std::fprintf(stderr, "FATAL: exchange shard count %zu != %zu\n",
+                 exchange.num_shards(), kShards);
     std::exit(1);
   }
   core::RoundPipeline pipe(core::shard_broadcast_graph(
@@ -117,10 +116,10 @@ std::uint64_t run_pipeline(const net::Topology& topology) {
     }
   };
   ops.publish = [&](std::size_t s, std::uint64_t r) {
-    staged.publish_shard(s, r);
+    exchange.publish_shard(s, r);
   };
   ops.apply = [&](std::size_t s, std::uint64_t r) {
-    staged.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
+    exchange.apply_shard(s, r, [](std::size_t, std::span<const double>) {});
   };
   pipe.run(util::ThreadPool::global(), 0, kRounds, ops);
 
