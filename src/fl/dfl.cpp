@@ -153,98 +153,59 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
     }
     return std::pair{train, span};
   };
-  const auto train_job = [&](std::size_t j) {
-    const auto [h, d] = jobs[j];
-    // Per-job RNG forked deterministically: results do not depend on the
-    // thread schedule.
-    util::Rng rng =
-        util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d);
-    auto& model = *agents_[h].devices[d];
-    const auto [train, span] = capped_train(model);
-    round_windows.fetch_add(span / std::max<std::size_t>(1, train.stride),
-                            std::memory_order_relaxed);
-    model.train(traces_[h].devices[d], begin, end, train, rng);
-  };
-  // Sharded engine: one pool task per shard of homes instead of one per
-  // job. The per-job RNG fork keeps results independent of which path
-  // (or thread) runs a job, so sharding never changes training output.
-  util::ShardTiming timing;
-  if (cfg_.fuse_homes > 1 && !jobs.empty()) {
-    // Fused dispatch (docs/fused_training.md): consecutive jobs of up to
-    // fuse_homes homes — never crossing a shard boundary — form one
-    // fused batch group. Per-job RNG forks and window accounting are
-    // unchanged, so fused rounds stay bitwise identical to per-job ones.
-    struct Group {
-      std::size_t begin_j, end_j;
-    };
-    std::vector<Group> groups;
-    std::size_t start = 0;
-    while (start < jobs.size()) {
-      const std::size_t shard =
-          util::shard_of(jobs[start].home, agents_.size(), cfg_.shards);
-      std::size_t j = start;
-      std::size_t homes_in = 0;
-      while (j < jobs.size() &&
-             util::shard_of(jobs[j].home, agents_.size(), cfg_.shards) ==
-                 shard) {
-        if (j == start || jobs[j].home != jobs[j - 1].home) {
-          if (homes_in == cfg_.fuse_homes) break;
-          ++homes_in;
-        }
-        ++j;
-      }
-      groups.push_back({start, j});
-      start = j;
-    }
-    while (fused_pool_.size() < groups.size()) {
-      fused_pool_.push_back(
-          std::make_unique<forecast::FusedForecastTrainer>());
-    }
-    const auto train_group = [&](std::size_t g) {
-      const auto [gb, ge] = groups[g];
-      std::vector<util::Rng> rngs;
-      rngs.reserve(ge - gb);
-      std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
-      for (std::size_t j = gb; j < ge; ++j) {
-        const auto [h, d] = jobs[j];
-        rngs.push_back(
-            util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d));
-      }
-      for (std::size_t j = gb; j < ge; ++j) {
-        const auto [h, d] = jobs[j];
-        fjobs[j - gb] = {agents_[h].devices[d].get(), &traces_[h].devices[d],
-                         &rngs[j - gb], 0.0};
-      }
-      const auto [train, span] = capped_train(*fjobs.front().forecaster);
-      round_windows.fetch_add(
-          static_cast<std::uint64_t>(ge - gb) *
-              (span / std::max<std::size_t>(1, train.stride)),
-          std::memory_order_relaxed);
-      if (!fused_pool_[g]->train(fjobs, begin, end, train)) {
-        // Non-fusable group (closed-form method, mismatched shapes):
-        // per-job fallback with the still-unconsumed forked RNGs.
-        for (std::size_t j = gb; j < ge; ++j) {
-          const auto [h, d] = jobs[j];
-          agents_[h].devices[d]->train(traces_[h].devices[d], begin, end,
-                                       train, rngs[j - gb]);
-        }
-      }
-    };
-    timing = util::sharded_for(
-        util::ThreadPool::global(), groups.size(), cfg_.shards,
-        [&](std::size_t g) {
-          return util::shard_of(jobs[groups[g].begin_j].home, agents_.size(),
-                                cfg_.shards);
-        },
-        train_group);
-  } else {
-    timing = util::sharded_for(
-        util::ThreadPool::global(), jobs.size(), cfg_.shards,
-        [&](std::size_t j) {
-          return util::shard_of(jobs[j].home, agents_.size(), cfg_.shards);
-        },
-        train_job);
+  // Fused dispatch (docs/fused_training.md): one fused batch group per
+  // shard or, unsharded, per contiguous block of homes on each pool
+  // thread. Per-job RNG forks and window accounting do not depend on the
+  // grouping, so rounds are bitwise identical at any group size.
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t homes = agents_.size();
+  const std::size_t blocks = util::fused_blocks(cfg_.shards, pool);
+  const std::vector<std::size_t> group_begin =
+      util::run_starts(jobs.size(), [&](std::size_t j) {
+        return util::shard_of(jobs[j].home, homes, blocks);
+      });
+  const std::size_t groups = group_begin.size() - 1;
+  while (fused_pool_.size() < groups) {
+    fused_pool_.push_back(std::make_unique<forecast::FusedForecastTrainer>());
   }
+  std::atomic<std::uint64_t> fallback_groups{0};
+  const auto train_group = [&](std::size_t g) {
+    const std::size_t gb = group_begin[g];
+    const std::size_t ge = group_begin[g + 1];
+    // Per-job RNG forked deterministically: results do not depend on the
+    // group or thread that trains a job.
+    std::vector<util::Rng> rngs;
+    rngs.reserve(ge - gb);
+    std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
+    for (std::size_t j = gb; j < ge; ++j) {
+      const auto [h, d] = jobs[j];
+      rngs.push_back(
+          util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d));
+      fjobs[j - gb] = {agents_[h].devices[d].get(), &traces_[h].devices[d],
+                       &rngs.back(), 0.0};
+    }
+    const auto [train, span] = capped_train(*fjobs.front().forecaster);
+    round_windows.fetch_add(
+        static_cast<std::uint64_t>(ge - gb) *
+            (span / std::max<std::size_t>(1, train.stride)),
+        std::memory_order_relaxed);
+    if (!fused_pool_[g]->train(fjobs, begin, end, train)) {
+      // Non-fusable group (closed-form method, mismatched shapes):
+      // per-job fallback with the still-unconsumed forked RNGs.
+      fallback_groups.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t j = gb; j < ge; ++j) {
+        const auto [h, d] = jobs[j];
+        agents_[h].devices[d]->train(traces_[h].devices[d], begin, end,
+                                     train, rngs[j - gb]);
+      }
+    }
+  };
+  const util::ShardTiming timing = util::sharded_for(
+      pool, groups, cfg_.shards,
+      [&](std::size_t g) {
+        return util::shard_of(jobs[group_begin[g]].home, homes, cfg_.shards);
+      },
+      train_group);
   if (cfg_.metrics != nullptr) {
     obs::record_shard_timing(*cfg_.metrics, "dfl.shard", timing);
   }
@@ -258,6 +219,8 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
     cfg_.metrics->counter("dfl.devices_trained").add(jobs.size());
     cfg_.metrics->counter("dfl.train_windows")
         .add(round_windows.load(std::memory_order_relaxed));
+    cfg_.metrics->counter("dfl.fused_fallback_groups")
+        .add(fallback_groups.load(std::memory_order_relaxed));
     obs::record_bus_stats(*cfg_.metrics, "bus.forecast", bus_.stats());
     if (router_) {
       obs::record_shard_router_stats(*cfg_.metrics, "bus.forecast",

@@ -84,20 +84,13 @@ struct DflConfig {
   std::optional<net::TopologyKind> topology;
   /// Cluster size / gossip fanout+seed for the sparse topologies.
   net::TopologyOptions topology_options{};
-  /// Shards for the bulk-synchronous engine: > 1 buckets per-home
-  /// training onto one pool task per shard, batches cross-shard
+  /// Shards for the bulk-synchronous engine: > 1 trains each shard's
+  /// homes as one fused group on one pool task, batches cross-shard
   /// parameter messages per shard pair per round (net::ShardRouter), and
-  /// parallelizes the exchange drain/aggregate phases. 0/1 = the legacy
-  /// flat fan-out (bitwise identical results either way on a clean
-  /// fault plan).
+  /// parallelizes the exchange drain/aggregate phases. 0/1 = unsharded:
+  /// one fused group per pool thread (bitwise identical results either
+  /// way on a clean fault plan).
   std::size_t shards = 0;
-  /// Cross-home fused training (docs/fused_training.md): > 1 gathers the
-  /// (home, device) jobs of up to this many homes — never crossing a
-  /// shard boundary — into one fused batch group per training step, so
-  /// each gate runs one big slab matmul instead of per-home stripes.
-  /// 0/1 = the legacy per-job path. Bitwise identical results either
-  /// way; groups that turn out non-fusable fall back per job.
-  std::size_t fuse_homes = 0;
   /// Lossless delta/XOR wire codec for parameter broadcasts
   /// (docs/wire.md): received params stay bitwise identical, only the
   /// billed wire bytes shrink. Default off.
@@ -178,9 +171,9 @@ class DflTrainer {
   const std::vector<data::HouseholdTrace>& traces_;
   DflConfig cfg_;
   std::vector<AgentModels> agents_;
-  /// Per-group fused trainers (cfg_.fuse_homes > 1). Group boundaries
-  /// are pinned by (jobs, shards, fuse_homes), so group g reuses the
-  /// same trainer's slab capacity every round.
+  /// Per-group fused trainers (docs/fused_training.md). Group boundaries
+  /// are pinned by (jobs, shards, pool size), so group g reuses the same
+  /// trainer every round.
   std::vector<std::unique_ptr<forecast::FusedForecastTrainer>> fused_pool_;
   /// Declared before bus_ — the bus holds non-owning router and codec
   /// pointers.

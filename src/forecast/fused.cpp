@@ -33,12 +33,21 @@ bool FusedForecastTrainer::train(std::span<FusedTrainJob> jobs,
     if (j.forecaster->method() != method) return false;
   }
   const TrainConfig tcfg = resolve_train_config(method, cfg);
+  bool fused = false;  // closed-form methods have no minibatch loop
   switch (method) {
-    case Method::kLstm: return train_lstm(jobs, begin, end, tcfg);
-    case Method::kGru: return train_gru(jobs, begin, end, tcfg);
-    case Method::kBp: return train_bp(jobs, begin, end, tcfg);
-    default: return false;  // closed-form methods have no minibatch loop
+    case Method::kLstm: fused = train_lstm(jobs, begin, end, tcfg); break;
+    case Method::kGru: fused = train_gru(jobs, begin, end, tcfg); break;
+    case Method::kBp: fused = train_bp(jobs, begin, end, tcfg); break;
+    default: break;
   }
+  // The round's datasets and their epoch arena are dead once the group
+  // has trained; free them rather than hold a copy of every member's
+  // data between rounds (the per-home path frees its set on return).
+  seq_sets_.clear();
+  sup_sets_.clear();
+  slab_xs_.clear();
+  slab_y_ = nn::Matrix();
+  return fused;
 }
 
 bool FusedForecastTrainer::train_lstm(std::span<FusedTrainJob> jobs,

@@ -798,10 +798,14 @@ void FusedMlp::backward(std::span<Mlp* const> nets,
   const auto& dims = n0.dims();
   const std::size_t layers = n0.num_layers();
   // Delta slabs for layers layers-1 .. 1, taken up front so the member
-  // tasks never touch the workspace.
+  // tasks never touch the workspace. Layer l's delta is dead once layer
+  // l-1 has read it, so layer l reuses layer l+2's slab when the shapes
+  // match (each member walks its layers in order over its own rows).
   grad_slabs_.assign(layers, nullptr);
   for (std::size_t l = layers; l-- > 1;) {
-    grad_slabs_[l] = &ws_.take(grad_out.rows(), dims[l]);
+    grad_slabs_[l] = l + 2 < layers && dims[l + 2] == dims[l]
+                         ? grad_slabs_[l + 2]
+                         : &ws_.take(grad_out.rows(), dims[l]);
   }
   // Member-major, same scheme as forward(): each member back-propagates
   // its own slice rows into its own Mlp::gradients() buffer.

@@ -65,14 +65,15 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
 
   // Bootstrap and prediction passes over the whole slab. Each agent's
   // slice multiplies its own parameter bank, so per-row results are
-  // bitwise the per-agent predict/forward values.
-  const nn::Matrix& q_next =
-      target_fwd_.forward(target_nets_, slices_, next_states_);
-  const nn::Matrix* q_next_online =
-      ref.cfg_.double_dqn
-          ? &online_next_.forward(online_nets_, slices_, next_states_)
-          : nullptr;
-  const nn::Matrix& q_pred = online_.forward(online_nets_, slices_, states_);
+  // bitwise the per-agent predict/forward values. One engine runs all
+  // three passes: the bootstrap outputs are copied out before the next
+  // pass reuses its activation slabs, and the online pass runs last so
+  // its activations stay cached for backward().
+  q_next_ = mlp_.forward(target_nets_, slices_, next_states_);
+  if (ref.cfg_.double_dqn) {
+    q_next_online_ = mlp_.forward(online_nets_, slices_, next_states_);
+  }
+  const nn::Matrix& q_pred = mlp_.forward(online_nets_, slices_, states_);
 
   // Per-row Huber TD gradients, only on each row's taken action.
   grad_.reshape(rows, num_actions);
@@ -85,17 +86,16 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
     for (std::size_t i = 0; i < bs; ++i) {
       const std::size_t r = r0 + i;
       double max_next;
-      if (q_next_online != nullptr) {
-        const nn::Matrix& q_online = *q_next_online;
+      if (ref.cfg_.double_dqn) {
         std::size_t best = 0;
         for (std::size_t act = 1; act < num_actions; ++act) {
-          if (q_online(r, act) > q_online(r, best)) best = act;
+          if (q_next_online_(r, act) > q_next_online_(r, best)) best = act;
         }
-        max_next = q_next(r, best);
+        max_next = q_next_(r, best);
       } else {
-        max_next = q_next(r, 0);
+        max_next = q_next_(r, 0);
         for (std::size_t act = 1; act < num_actions; ++act) {
-          max_next = std::max(max_next, q_next(r, act));
+          max_next = std::max(max_next, q_next_(r, act));
         }
       }
       const double target =
@@ -112,7 +112,7 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
   // Scatter: per-agent gradient accumulation through the shared
   // backward, then each agent's own Adam step and target schedule.
   for (const std::size_t idx : active_) agents[idx]->net_.zero_grad();
-  online_.backward(online_nets_, slices_, grad_);
+  mlp_.backward(online_nets_, slices_, grad_);
   for (const std::size_t idx : active_) {
     DqnAgent& a = *agents[idx];
     a.opt_.step(a.net_.parameters(), a.net_.gradients());

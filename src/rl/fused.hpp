@@ -3,8 +3,8 @@
 // Every residence runs the same Q-network architecture, so one EMS learn
 // tick across a group of homes is N identical tiny minibatches. The
 // fused learner stacks the group's replay minibatches into home-major
-// state/next-state slabs and drives them through three shared
-// nn::FusedMlp passes (target bootstrap, optional double-DQN online
+// state/next-state slabs and drives them through three passes of one
+// shared nn::FusedMlp (target bootstrap, optional double-DQN online
 // bootstrap, online forward/backward) against each agent's own
 // parameter bank, then scatters per-agent TD gradients back into each
 // agent's own Adam state.
@@ -46,16 +46,16 @@ class FusedDqnLearner {
   bool learn(std::span<DqnAgent* const> agents, std::span<double> losses);
 
  private:
-  // Shared forward engines. Separate instances because each caches its
-  // own activation slabs: the target and double-DQN bootstrap passes
-  // must not disturb the online pass's backward caches.
-  nn::FusedMlp target_fwd_;
-  nn::FusedMlp online_next_;
-  nn::FusedMlp online_;
+  // Shared engine for the target, double-DQN bootstrap and online passes
+  // (one activation arena; the online pass runs last and stays cached
+  // for backward).
+  nn::FusedMlp mlp_;
   // Capacity-reusing assembly buffers (steady-state learn() calls of a
   // stable group shape allocate nothing).
   nn::Matrix states_;
   nn::Matrix next_states_;
+  nn::Matrix q_next_;         // target-network bootstrap Q values
+  nn::Matrix q_next_online_;  // online bootstrap Q values (double DQN)
   nn::Matrix grad_;
   std::vector<std::size_t> active_;  // indices into `agents`
   std::vector<nn::Mlp*> online_nets_;

@@ -24,6 +24,19 @@ class ThreadPool;
 [[nodiscard]] std::size_t shard_begin(std::size_t s, std::size_t n,
                                       std::size_t shards) noexcept;
 
+/// Block count of fused training groups (docs/fused_training.md): the
+/// shard count when sharded (shards > 1), otherwise one contiguous block
+/// of homes per pool thread — the workers plus the calling thread, which
+/// joins parallel_for.
+[[nodiscard]] std::size_t fused_blocks(std::size_t shards,
+                                       const ThreadPool& pool) noexcept;
+
+/// Start of every maximal run of equal `key(i)` over [0, n), followed by
+/// n: run r covers [out[r], out[r+1]). Fused groups are the runs of a
+/// home-major job list keyed by block.
+[[nodiscard]] std::vector<std::size_t> run_starts(
+    std::size_t n, const std::function<std::size_t(std::size_t)>& key);
+
 /// Wall-clock seconds each shard spent in its serial slice of a
 /// sharded_for dispatch; empty when the dispatch ran unsharded.
 struct ShardTiming {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
@@ -212,45 +214,138 @@ TEST(Pipeline, LearnCadenceAndAccountingFollowMeterInterval) {
   EXPECT_EQ(reg.histogram("ems.round_seconds").count(), 2u);
 }
 
-// The fused-training contract end-to-end (docs/fused_training.md):
-// fuse_homes > 1 runs EMS rounds in cross-home lockstep (stacked DQN
-// learn slabs) and fuses DFL forecast minibatches, but every agent
-// parameter and every evaluation number must stay bitwise identical to
-// the legacy per-home pipeline — with and without sharding on top.
-TEST(Pipeline, FusedHomesBitwiseMatchesLegacy) {
-  const auto scenario = tiny();
+/// Test-local per-agent reference for the EMS training step of a PFDRL
+/// pipeline: fresh agents seeded as EmsPipeline seeds them, each rolled
+/// out alone over the same environments (forecasts from `forecasts`'
+/// trained DFL models) and trained by its own learn(), with a
+/// DrlFederation round after every γ window. Returns every agent's
+/// parameters, home-major.
+std::vector<double> per_agent_reference(
+    const std::vector<data::HouseholdTrace>& traces, const PipelineConfig& cfg,
+    const EmsPipeline& forecasts, std::size_t begin, std::size_t end) {
+  const fl::DflTrainer& dfl = *forecasts.dfl_trainer();
+  const EpisodeRunner runner(
+      traces,
+      [&](std::size_t h, std::size_t d, std::size_t b, std::size_t e) {
+        // EmsPipeline's forecast series: leading minutes without history
+        // are padded with the real reading.
+        const auto& trace = traces[h].devices[d];
+        const forecast::Forecaster& model = dfl.forecaster(h, d);
+        const auto series = model.predict_series(trace, b, e);
+        std::vector<double> out;
+        const std::size_t first =
+            data::first_feasible_target(model.window_config(), b);
+        for (std::size_t m = b; m < first && m < e; ++m) {
+          out.push_back(trace.watts[m]);
+        }
+        out.insert(out.end(), series.begin(), series.end());
+        out.resize(e - b, trace.spec.standby_watts);
+        return out;
+      },
+      cfg.meter_interval_minutes);
+  std::vector<std::unique_ptr<rl::DqnAgent>> agents;
+  std::vector<std::pair<std::size_t, std::size_t>> slots;  // (home, dev)
+  std::vector<FederatedDevice> devices;
+  for (std::size_t h = 0; h < traces.size(); ++h) {
+    for (std::size_t d = 0; d < traces[h].devices.size(); ++d) {
+      if (traces[h].devices[d].spec.protected_device) continue;
+      rl::DqnConfig qc = cfg.dqn;
+      qc.state_dim = ems::EmsEnvironment::kStateDim;
+      qc.num_actions = ems::kNumActions;
+      const auto type =
+          static_cast<std::uint64_t>(traces[h].devices[d].spec.type);
+      qc.seed = cfg.seed * 7919 + type;
+      qc.exploration_seed = cfg.seed * 104729 + h * 257 + type + 1;
+      agents.push_back(std::make_unique<rl::DqnAgent>(qc));
+      slots.emplace_back(h, d);
+      devices.push_back({static_cast<net::AgentId>(h),
+                         static_cast<std::uint32_t>(type), agents.back().get()});
+    }
+  }
+  const std::size_t layers = agents.front()->network().num_layers();
+  net::FaultPlan fault = cfg.fault;
+  fault.seed = net::derive_fault_seed(cfg.seed, 2);
+  DrlFederation federation(traces.size(), std::min(cfg.alpha, layers),
+                           net::TopologyKind::kFullMesh, fault);
+  const std::size_t stride = std::max<std::size_t>(1, cfg.meter_interval_minutes);
+  const auto round_minutes = static_cast<std::size_t>(cfg.gamma_hours * 60.0);
+  std::uint64_t round = 0;
+  for (std::size_t wb = begin; wb < end; wb += round_minutes, ++round) {
+    const std::size_t we = std::min(wb + round_minutes, end);
+    for (std::size_t i = 0; i < agents.size(); ++i) {
+      rl::DqnAgent& agent = *agents[i];
+      const ems::EmsEnvironment env =
+          runner.environment(slots[i].first, slots[i].second, wb, we);
+      std::array<double, ems::EmsEnvironment::kStateDim> state;
+      std::array<double, ems::EmsEnvironment::kStateDim> next;
+      env.state_into(0, state);
+      for (std::size_t t = 0; t < env.length(); t += stride) {
+        const std::size_t t_next = std::min(t + stride, env.length());
+        const int action = agent.act(state);
+        double r = 0.0;
+        for (std::size_t m = t; m < t_next; ++m) r += env.reward_at(m, action);
+        const bool terminal = t_next >= env.length();
+        if (terminal) {
+          next = state;
+        } else {
+          env.state_into(t_next, next);
+        }
+        agent.remember({{state.begin(), state.end()},
+                        action,
+                        r,
+                        {next.begin(), next.end()},
+                        terminal});
+        if ((wb + t) % cfg.learn_every_minutes < stride) agent.learn();
+        state = next;
+      }
+    }
+    federation.round(devices, round);
+  }
+  std::vector<double> all;
+  for (const auto& agent : agents) {
+    const auto p = agent->network().parameters();
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  return all;
+}
+
+// The fused-training contract end-to-end (docs/fused_training.md): EMS
+// rounds always run in cross-home lockstep with stacked DQN learn slabs
+// (one group per shard, or per pool thread unsharded), on both the BSP
+// (shards <= 1) and pipelined (shards > 1) engines, and every agent's
+// parameters must stay bitwise identical to each agent rolled out alone
+// and trained by its own learn(). No EMS group falls back; LR forecasts
+// make every DFL group fall back per job.
+TEST(Pipeline, FusedEmsMatchesPerAgentReference) {
+  auto sc = sim::tiny_scenario(42);
+  sc.neighborhood.num_households = 4;
+  const auto scenario = sim::Scenario::generate(sc);
+  const auto& traces = scenario.traces;
   const std::size_t day = data::kMinutesPerDay;
-  const auto run = [&](std::size_t fuse_homes, std::size_t shards,
-                       forecast::Method fm) {
+  for (const std::size_t shards : {0, 1, 2, 3}) {
+    obs::MetricsRegistry reg;
     auto cfg = tiny_pipeline(EmsMethod::kPfdrl);
-    cfg.forecast_method = fm;
-    cfg.fuse_homes = fuse_homes;
     cfg.shards = shards;
-    EmsPipeline pipeline(scenario.traces, cfg);
+    cfg.metrics = &reg;
+    EmsPipeline pipeline(traces, cfg);
     pipeline.train_forecasters(0, day);
+    const auto reference =
+        per_agent_reference(traces, cfg, pipeline, day, 2 * day);
     pipeline.train_ems(day, 2 * day);
-    std::vector<double> fingerprint;
-    for (std::size_t h = 0; h < scenario.traces.size(); ++h) {
-      for (std::size_t d = 0; d < scenario.traces[h].devices.size(); ++d) {
+    std::vector<double> fused;
+    for (std::size_t h = 0; h < traces.size(); ++h) {
+      for (std::size_t d = 0; d < traces[h].devices.size(); ++d) {
         const auto* agent = pipeline.agent_ptr(h, d);
         if (agent == nullptr) continue;
         const auto p = agent->network().parameters();
-        fingerprint.insert(fingerprint.end(), p.begin(), p.end());
+        fused.insert(fused.end(), p.begin(), p.end());
       }
     }
-    for (const auto& r : pipeline.evaluate(day, 2 * day)) {
-      fingerprint.push_back(r.total_reward);
-    }
-    return fingerprint;
-  };
-  // kLr forecasts: the DFL groups fall back per job (non-NN method), the
-  // EMS rounds fuse — covers the fallback seam.
-  const auto legacy_lr = run(0, 0, forecast::Method::kLr);
-  EXPECT_EQ(run(2, 0, forecast::Method::kLr), legacy_lr);
-  EXPECT_EQ(run(2, 2, forecast::Method::kLr), legacy_lr);
-  // kBp forecasts: both the forecast and the EMS fused paths engage.
-  const auto legacy_bp = run(0, 0, forecast::Method::kBp);
-  EXPECT_EQ(run(3, 0, forecast::Method::kBp), legacy_bp);
+    EXPECT_EQ(fused, reference) << "shards=" << shards;
+    EXPECT_GT(reg.counter("ems.learn_calls").value(), 0u);
+    EXPECT_EQ(reg.counter("ems.fused_fallback_groups").value(), 0u);
+    EXPECT_GT(reg.counter("dfl.fused_fallback_groups").value(), 0u);
+  }
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

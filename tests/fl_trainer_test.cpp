@@ -2,7 +2,10 @@
 
 #include "fl/baselines.hpp"
 #include "fl/dfl.hpp"
+#include "forecast/forecaster.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace pfdrl::fl {
 namespace {
@@ -253,7 +256,7 @@ TEST(DflTrainer, DeterministicAcrossRunsDespiteThreadPool) {
 namespace {
 
 /// Every forecaster parameter of every (home, device), flattened — the
-/// bitwise fingerprint the fused-vs-legacy comparisons use.
+/// bitwise fingerprint the fused-vs-reference comparisons use.
 std::vector<double> all_parameters(const DflTrainer& trainer,
                                    const std::vector<data::HouseholdTrace>& traces) {
   std::vector<double> all;
@@ -266,49 +269,96 @@ std::vector<double> all_parameters(const DflTrainer& trainer,
   return all;
 }
 
+/// Test-local per-job reference for DflTrainer's training step: a fresh
+/// forecaster per (home, device), seeded as the trainer seeds them, each
+/// trained alone by its own train() with the trainer's per-job RNG fork
+/// (seed, round, home, dev). Under kNone aggregation that is the whole
+/// round, so a trainer must reproduce it bitwise.
+std::vector<double> per_job_reference(
+    const std::vector<data::HouseholdTrace>& traces, const DflConfig& cfg,
+    std::size_t begin, std::size_t end) {
+  const auto round_minutes =
+      static_cast<std::size_t>(cfg.broadcast_period_hours * 60.0);
+  const forecast::TrainConfig train =
+      forecast::resolve_train_config(cfg.method, cfg.train);
+  std::vector<double> all;
+  for (std::size_t h = 0; h < traces.size(); ++h) {
+    for (std::size_t d = 0; d < traces[h].devices.size(); ++d) {
+      const auto type =
+          static_cast<std::uint64_t>(traces[h].devices[d].spec.type);
+      const auto model = forecast::make_forecaster(cfg.method, cfg.window,
+                                                   cfg.seed * 1000 + type);
+      std::uint64_t round = 0;
+      for (std::size_t b = begin; b < end; b += round_minutes, ++round) {
+        util::Rng rng = util::Rng(cfg.seed).fork(round * 10000 + h * 100 + d);
+        model->train(traces[h].devices[d], b, std::min(b + round_minutes, end),
+                     train, rng);
+      }
+      const auto p = model->parameters();
+      all.insert(all.end(), p.begin(), p.end());
+    }
+  }
+  return all;
+}
+
 }  // namespace
 
-// The fused-training contract at the DFL layer: fuse_homes > 1 gathers
-// cross-home minibatches into shared slabs, but the trained parameters
-// must stay bitwise identical to the legacy per-job path — at every
-// shard count, for each NN method.
-TEST(DflTrainer, FusedHomesBitwiseMatchesLegacy) {
+// The fused-training contract at the DFL layer: every round trains in
+// fused groups (one per shard, or per pool thread unsharded), and the
+// trained parameters must stay bitwise identical to each forecaster's
+// own train() — at every shard count, for each NN method. Closed-form
+// methods cannot fuse: every group falls back per job with the forked
+// RNGs still unconsumed, and dfl.fused_fallback_groups counts it.
+TEST(DflTrainer, FusedTrainingMatchesPerJobReference) {
   const auto traces = small_traces(5, 2);
   for (const auto method :
-       {forecast::Method::kBp, forecast::Method::kLstm, forecast::Method::kGru}) {
-    auto cfg = fast_dfl(AggregationMode::kDecentralized);
+       {forecast::Method::kLstm, forecast::Method::kGru,
+        forecast::Method::kBp, forecast::Method::kLr}) {
+    auto cfg = fast_dfl(AggregationMode::kNone);
     cfg.method = method;
-    cfg.train.epochs = 2;         // keep the recurrent methods quick
-    cfg.max_round_samples = 120;  // (explicit values win over defaults)
-    const auto run = [&](std::size_t fuse_homes, std::size_t shards) {
+    cfg.train.epochs = 2;  // keep the recurrent methods quick
+    cfg.train.stride = 6;  // (explicit values win over defaults)
+    const auto reference =
+        per_job_reference(traces, cfg, 0, data::kMinutesPerDay);
+    for (const std::size_t shards : {0, 1, 2, 3}) {
+      obs::MetricsRegistry reg;
       auto c = cfg;
-      c.fuse_homes = fuse_homes;
       c.shards = shards;
+      c.metrics = &reg;
       DflTrainer trainer(traces, c);
       trainer.run(0, data::kMinutesPerDay);
-      return all_parameters(trainer, traces);
-    };
-    const auto legacy = run(0, 0);
-    EXPECT_EQ(run(3, 0), legacy) << forecast::method_name(method);
-    EXPECT_EQ(run(16, 0), legacy) << forecast::method_name(method)
-                                  << " (one group spanning all homes)";
-    EXPECT_EQ(run(2, 2), legacy) << forecast::method_name(method)
-                                 << " (groups within shard boundaries)";
+      EXPECT_EQ(all_parameters(trainer, traces), reference)
+          << forecast::method_name(method) << " shards=" << shards;
+      const std::uint64_t fallbacks =
+          reg.counter("dfl.fused_fallback_groups").value();
+      if (method == forecast::Method::kLr) {
+        // Two rounds; sharded runs have one group per shard.
+        if (shards > 1) {
+          EXPECT_EQ(fallbacks, 2 * shards);
+        }
+        EXPECT_GT(fallbacks, 0u);
+      } else {
+        EXPECT_EQ(fallbacks, 0u) << forecast::method_name(method);
+      }
+    }
   }
 }
 
-// Non-NN methods cannot fuse: the group trainer must refuse and the
-// per-job fallback must reproduce the legacy result bitwise (the forked
-// per-job RNGs are handed over unconsumed).
-TEST(DflTrainer, FusedFallbackForNonNnMethodsMatchesLegacy) {
+// Federated rounds fall back the same way, and SVR (the other
+// closed-form method) counts a fallback for every group of every round.
+TEST(DflTrainer, ClosedFormMethodsCountFusedFallbacks) {
   const auto traces = small_traces(4, 1);
-  auto cfg = fast_dfl(AggregationMode::kDecentralized);  // kLr
-  DflTrainer legacy(traces, cfg);
-  legacy.run(0, data::kMinutesPerDay);
-  cfg.fuse_homes = 3;
-  DflTrainer fused(traces, cfg);
-  fused.run(0, data::kMinutesPerDay);
-  EXPECT_EQ(all_parameters(fused, traces), all_parameters(legacy, traces));
+  for (const auto method : {forecast::Method::kLr, forecast::Method::kSvr}) {
+    obs::MetricsRegistry reg;
+    auto cfg = fast_dfl(AggregationMode::kDecentralized);
+    cfg.method = method;
+    cfg.shards = 2;
+    cfg.metrics = &reg;
+    DflTrainer trainer(traces, cfg);
+    const std::size_t rounds = trainer.run(0, data::kMinutesPerDay);
+    EXPECT_EQ(reg.counter("dfl.fused_fallback_groups").value(), 2 * rounds)
+        << forecast::method_name(method);
+  }
 }
 
 TEST(DflTrainer, SmallBatchCapOnlyAppliesToFederatedModes) {

@@ -289,24 +289,27 @@ foreach(line_re "forecast accuracy [^\n]*" "traffic: [^\n]*")
 endforeach()
 message(STATUS "bench_smoke: sharded snapshot/resume round-trip agreed")
 
-# --- fused training through the shipped CLI: the same scenario with
-# --fuse-homes 2 must produce byte-identical result lines to the
-# per-home run above (the fused ≡ per-home contract of
-# docs/fused_training.md, pinned end-to-end through the CLI wiring).
-execute_process(
-  COMMAND "${PFDRL_CLI}" ${cli_flags} --fuse-homes 2
-  RESULT_VARIABLE fused_rc
-  OUTPUT_VARIABLE fused_out
-  ERROR_VARIABLE fused_err)
-if(NOT fused_rc EQUAL 0)
-  message(FATAL_ERROR "pfdrl_cli fused run failed (${fused_rc}):\n${fused_out}\n${fused_err}")
-endif()
-foreach(line_re "forecast accuracy [^\n]*" "traffic: [^\n]*")
-  string(REGEX MATCH "${line_re}" save_line "${save_out}")
-  string(REGEX MATCH "${line_re}" fused_line "${fused_out}")
-  if(NOT save_line STREQUAL fused_line)
-    message(FATAL_ERROR
-      "fused run diverged from per-home:\n  per-home: ${save_line}\n  fused:    ${fused_line}")
+# --- fused grouping through the shipped CLI: an unsharded run groups
+# its homes into one fused training group per pool thread, so 1 and 4
+# pool workers split the 6 homes into 2 vs 5 groups. Grouping never
+# changes bits (the fused training contract of docs/fused_training.md):
+# the two runs' whole stdout must be byte-identical.
+set(pool_flags --method pfdrl --homes 6 --days 4 --gamma 6 --seed 7)
+foreach(workers 1 4)
+  execute_process(
+    COMMAND "${PFDRL_CLI}" ${pool_flags} --pool-workers ${workers}
+    RESULT_VARIABLE pool_rc
+    OUTPUT_VARIABLE pool_out_${workers}
+    ERROR_VARIABLE pool_err)
+  if(NOT pool_rc EQUAL 0)
+    message(FATAL_ERROR "pfdrl_cli --pool-workers ${workers} failed (${pool_rc}):\n${pool_out_${workers}}\n${pool_err}")
   endif()
 endforeach()
-message(STATUS "bench_smoke: fused CLI run matched the per-home run")
+if(NOT pool_out_1 MATCHES "forecast accuracy")
+  message(FATAL_ERROR "pfdrl_cli --pool-workers 1 printed no results:\n${pool_out_1}")
+endif()
+if(NOT pool_out_1 STREQUAL pool_out_4)
+  message(FATAL_ERROR
+    "fused grouping changed results across pool sizes:\n--- 1 worker:\n${pool_out_1}\n--- 4 workers:\n${pool_out_4}")
+endif()
+message(STATUS "bench_smoke: unsharded CLI runs at 1 and 4 pool workers matched")
