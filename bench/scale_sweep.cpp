@@ -72,10 +72,18 @@ struct SweepConfig {
   bool wire_codec = true;
 };
 
+/// The engine schedule a point drives ParamExchange with; the JSON
+/// `mode` strings are "bsp" and "pipeline".
+enum class Mode { kBsp, kPipeline };
+
+const char* mode_name(Mode mode) {
+  return mode == Mode::kPipeline ? "pipeline" : "bsp";
+}
+
 struct PointResult {
   std::size_t agents = 0;
   std::size_t shards = 0;
-  core::SyncMode mode = core::SyncMode::kBsp;
+  Mode mode = Mode::kBsp;
   double seconds = 0.0;
   double agent_rounds_per_sec = 0.0;
   std::uint64_t links_per_round = 0;
@@ -214,7 +222,7 @@ std::uint64_t run_bsp(std::size_t agents, const SweepConfig& cfg,
 
   if (out != nullptr) {
     setup.fill_common(cfg, seconds, out);
-    out->mode = core::SyncMode::kBsp;
+    out->mode = Mode::kBsp;
     out->imbalance =
         cfg.rounds > 0 ? imbalance_sum / static_cast<double>(cfg.rounds) : 1.0;
   }
@@ -270,7 +278,7 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
 
   if (out != nullptr) {
     setup.fill_common(cfg, seconds, out);
-    out->mode = core::SyncMode::kPipeline;
+    out->mode = Mode::kPipeline;
     out->pipeline = pipe.stats();
     double max_s = 0.0;
     double sum_s = 0.0;
@@ -286,12 +294,12 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
 }
 
 PointResult run_point(std::size_t agents, const SweepConfig& cfg,
-                      core::SyncMode mode) {
+                      Mode mode) {
   const std::vector<std::size_t> weights = home_weights(agents);
   const sim::ShardPlan plan =
       cfg.weighted_shards ? sim::ShardPlan::make_weighted(weights, cfg.shards)
                           : sim::ShardPlan::make(agents, cfg.shards);
-  const auto run = mode == core::SyncMode::kPipeline ? run_pipeline : run_bsp;
+  const auto run = mode == Mode::kPipeline ? run_pipeline : run_bsp;
   PointResult result;
   const std::uint64_t first = run(agents, cfg, plan, weights, &result);
   const std::uint64_t twin = run(agents, cfg, plan, weights, nullptr);
@@ -322,7 +330,7 @@ void print_point_json(std::FILE* f, const PointResult& p, bool last) {
       "\"overlap_seconds\": %.6f, "
       "\"deterministic\": %s, "
       "\"param_hash\": \"%016" PRIx64 "\"}%s\n",
-      p.agents, p.shards, core::sync_mode_name(p.mode),
+      p.agents, p.shards, mode_name(p.mode),
       util::ThreadPool::global().size(), p.seconds, p.agent_rounds_per_sec,
       p.links_per_round, p.router.messages_batched, p.router.batched_bytes,
       p.router.batched_wire_bytes, p.router.batches_flushed,
@@ -399,9 +407,8 @@ int run_child(const std::vector<std::size_t>& agent_counts,
   }
   bool all_deterministic = true;
   for (std::size_t i = 0; i < agent_counts.size(); ++i) {
-    for (const core::SyncMode mode :
-         {core::SyncMode::kBsp, core::SyncMode::kPipeline}) {
-      if (mode == core::SyncMode::kPipeline && cfg.shards <= 1) continue;
+    for (const Mode mode : {Mode::kBsp, Mode::kPipeline}) {
+      if (mode == Mode::kPipeline && cfg.shards <= 1) continue;
       const PointResult p = run_point(agent_counts[i], cfg, mode);
       all_deterministic = all_deterministic && p.deterministic;
       print_point_json(f, p, /*last=*/false);

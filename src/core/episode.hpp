@@ -1,12 +1,11 @@
 // One episode-rollout path for training and evaluation.
 //
-// EmsPipeline used to carry three near-identical loops — online training
-// (ems_round), greedy scoring (evaluate) and tariff scoring
-// (evaluate_savings_dollars) — each rebuilding the same EmsEnvironment
-// and, worse, recomputing the same forecast series (the expensive
-// predict_series sweep) for the same (home, device, interval) triple.
-// EpisodeRunner owns environment construction behind a forecast-series
-// cache and provides the one greedy rollout the two evaluators share.
+// Online training (train_ems), greedy scoring (evaluate) and tariff
+// scoring (evaluate_savings_dollars) all need the same EmsEnvironment
+// and the same forecast series (the expensive predict_series sweep) for
+// a (home, device, interval) triple. EpisodeRunner owns environment
+// construction behind a forecast-series cache and provides the one
+// greedy rollout the two evaluators share.
 //
 // The cache is keyed (home, dev, begin, end) and must be invalidated
 // whenever the forecasting models retrain (the pipeline calls

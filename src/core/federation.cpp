@@ -1,7 +1,6 @@
 #include "core/federation.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/layer_split.hpp"
 #include "fl/exchange.hpp"
@@ -33,8 +32,10 @@ DrlFederation::DrlFederation(std::size_t num_homes, std::size_t share_layers,
   if (codec_) bus_.set_codec(codec_.get());
 }
 
-fl::ParamExchange& DrlFederation::session_for(
-    std::vector<FederatedDevice>& devices) {
+void DrlFederation::begin_rounds(std::vector<FederatedDevice>& devices) {
+  session_.reset();
+  devices_ = &devices;
+  if (bus_.num_agents() < 2) return;
   // One exchange item per registered device agent. `send` is the α-layer
   // base prefix (Eq. 7's shared slice); `in_place` is the live parameter
   // span, so the engine lands the grouped average directly in the network
@@ -55,32 +56,20 @@ fl::ParamExchange& DrlFederation::session_for(
                      .send = params.subspan(0, prefix),
                      .in_place = params});
   }
-  devices_ = &devices;
-
-  const auto same = [](const fl::ExchangeItem& x, const fl::ExchangeItem& y) {
-    return x.agent == y.agent && x.device_type == y.device_type &&
-           x.send.data() == y.send.data() && x.send.size() == y.send.size() &&
-           x.in_place.data() == y.in_place.data() &&
-           x.in_place.size() == y.in_place.size();
-  };
-  if (session_.has_value() &&
-      std::ranges::equal(session_->items(), items, same)) {
-    return *session_;
-  }
   fl::ParamExchange::Options options;
   options.kind = kind;
   options.metrics = metrics_;
   options.group_size_histogram = "drl.agg_group_size";
   options.policy = policy_;
-  return session_.emplace(bus_, std::move(options), std::move(items));
+  session_.emplace(bus_, std::move(options), std::move(items));
 }
 
 void DrlFederation::notify(std::size_t item, std::span<const double>) const {
   (*devices_)[item].agent->notify_external_parameter_update();
 }
 
-void DrlFederation::fold_metrics(const fl::ExchangeStats& stats,
-                                 std::uint64_t rounds) {
+void DrlFederation::record(const fl::ExchangeStats& stats,
+                           std::uint64_t rounds) {
   if (metrics_ == nullptr) return;
   metrics_->counter("drl.rounds").add(rounds);
   metrics_->counter("drl.messages_relayed").add(stats.relayed);
@@ -96,51 +85,44 @@ void DrlFederation::fold_metrics(const fl::ExchangeStats& stats,
   }
 }
 
-void DrlFederation::round(std::vector<FederatedDevice>& devices,
-                          std::uint64_t round_id) {
-  if (bus_.num_agents() < 2) return;
-  fl::ParamExchange& session = session_for(devices);
-  fold_metrics(session.round(round_id,
-                             [this](std::size_t i, std::span<const double> a) {
-                               notify(i, a);
-                             }),
-               1);
+void DrlFederation::round(std::uint64_t round_id) {
+  if (!session_) return;
+  record(session_->round(round_id,
+                         [this](std::size_t i, std::span<const double> a) {
+                           notify(i, a);
+                         }),
+         1);
 }
 
-void DrlFederation::begin_staged_rounds(std::vector<FederatedDevice>& devices) {
-  if (bus_.num_agents() < 2) {
-    throw std::logic_error(
-        "DrlFederation: staged rounds need at least two agents");
-  }
-  // A staged run starts a fresh session, so its metric window opens here.
-  session_.reset();
-  session_for(devices);
-}
-
-void DrlFederation::publish_staged(std::size_t shard, std::uint64_t round_id) {
+void DrlFederation::publish(std::size_t shard, std::uint64_t round_id) {
   session_->publish_shard(shard, round_id);
 }
 
-void DrlFederation::apply_staged(std::size_t shard, std::uint64_t round_id) {
+void DrlFederation::apply(std::size_t shard, std::uint64_t round_id) {
   session_->apply_shard(shard, round_id,
                         [this](std::size_t i, std::span<const double> a) {
                           notify(i, a);
                         });
 }
 
-void DrlFederation::fold_staged_metrics(std::uint64_t rounds) {
-  if (session_.has_value()) {
-    fold_metrics(session_->record_metrics(rounds), rounds);
-  }
+void DrlFederation::fold_metrics(std::uint64_t rounds) {
+  if (session_) record(session_->record_metrics(rounds), rounds);
 }
 
-void DrlFederation::end_staged_rounds() {
+void DrlFederation::end_rounds() {
   session_.reset();
   devices_ = nullptr;
 }
 
-std::size_t DrlFederation::staged_shards() const {
-  return session_.has_value() ? session_->num_shards() : 1;
+std::size_t DrlFederation::shards() const {
+  return session_ ? session_->num_shards() : 1;
+}
+
+void DrlFederation::round(std::vector<FederatedDevice>& devices,
+                          std::uint64_t round_id) {
+  begin_rounds(devices);
+  round(round_id);
+  end_rounds();
 }
 
 }  // namespace pfdrl::core

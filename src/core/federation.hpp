@@ -56,33 +56,34 @@ class DrlFederation {
                 std::size_t shards = 0, bool wire_codec = false,
                 bool wire_quant = false);
 
-  /// One federation round over all registered devices: broadcast each
-  /// agent's shared slice, then average per device type at each home
-  /// (Eq. 7) and stitch with the local personalization suffix (Eq. 8).
-  /// The barrier schedule of the exchange session; the session is kept
-  /// while the device set stays the same.
-  void round(std::vector<FederatedDevice>& devices, std::uint64_t round_id);
+  // --- Rounds ------------------------------------------------------
+  // One exchange session per training window, driven by either schedule
+  // of fl::ParamExchange. begin_rounds opens it over a device set; every
+  // round is then either round(r) (barrier schedule) or publish(s, r)
+  // per shard followed by apply(s, r) once the shard's in-neighbors
+  // published (pipelined schedule, core::RoundPipeline; the caller gates
+  // it on fl::pipelinable(bus()), the engine throws otherwise).
+  // end_rounds tears the session down. `devices` must outlive the
+  // session and stay unmoved — commits notify through it. A bus of < 2
+  // agents has nobody to exchange with: no session opens and every round
+  // is a no-op.
 
-  // --- Staged (pipelined) rounds ---------------------------------------
-  // The dependency-driven round pipeline (core::RoundPipeline) drives
-  // federation per shard instead of per round: begin_staged_rounds opens
-  // a fresh exchange session for a device set, then every round is
-  // publish_staged(s, r) per shard followed by apply_staged(s, r) once
-  // the shard's in-neighbors published. fold_staged_metrics runs at
-  // segment barriers (quiesced) and end_staged_rounds tears the session
-  // down. `devices` must outlive the session and stay unmoved — commits
-  // notify through it. Caller gates eligibility (fl::pipelinable on
-  // bus()); the engine throws otherwise.
-
-  void begin_staged_rounds(std::vector<FederatedDevice>& devices);
-  void publish_staged(std::size_t shard, std::uint64_t round_id);
-  void apply_staged(std::size_t shard, std::uint64_t round_id);
+  void begin_rounds(std::vector<FederatedDevice>& devices);
+  /// Barrier schedule: broadcast each agent's shared slice, then average
+  /// per device type at each home (Eq. 7) and stitch with the local
+  /// personalization suffix (Eq. 8). Folds the round's drl.* metrics.
+  void round(std::uint64_t round_id);
+  void publish(std::size_t shard, std::uint64_t round_id);
+  void apply(std::size_t shard, std::uint64_t round_id);
   /// Fold drl.* / exchange.* / fault.* metric deltas for the `rounds`
-  /// staged rounds completed since the previous fold.
-  void fold_staged_metrics(std::uint64_t rounds);
-  void end_staged_rounds();
-  /// Shard count of the active session (1 when unsharded).
-  [[nodiscard]] std::size_t staged_shards() const;
+  /// pipelined rounds completed since the previous fold.
+  void fold_metrics(std::uint64_t rounds);
+  void end_rounds();
+  /// Shard count of the open session (1 when unsharded or closed).
+  [[nodiscard]] std::size_t shards() const;
+
+  /// One-shot barrier round: begin_rounds + round + end_rounds.
+  void round(std::vector<FederatedDevice>& devices, std::uint64_t round_id);
 
   [[nodiscard]] net::BusStats comm_stats() const { return bus_.stats(); }
   [[nodiscard]] std::size_t share_layers() const noexcept {
@@ -110,18 +111,15 @@ class DrlFederation {
   net::MessageBus bus_;
   obs::MetricsRegistry* metrics_;
   fl::ExchangePolicy policy_;
-  /// Exchange session for the current device set (rebuilt when the set
-  /// changes) and the device list its commits notify through.
+  /// Open exchange session and the device list its commits notify
+  /// through.
   std::optional<fl::ParamExchange> session_;
   std::vector<FederatedDevice>* devices_ = nullptr;
 
-  /// Reuse the session when `devices` yields the same exchange items,
-  /// else build a new one.
-  fl::ParamExchange& session_for(std::vector<FederatedDevice>& devices);
   /// Commit callback: tell the agent its parameters changed underneath.
   void notify(std::size_t item, std::span<const double> averaged) const;
   /// drl.* counters plus bus / router / codec gauges for `rounds` rounds.
-  void fold_metrics(const fl::ExchangeStats& stats, std::uint64_t rounds);
+  void record(const fl::ExchangeStats& stats, std::uint64_t rounds);
 };
 
 }  // namespace pfdrl::core

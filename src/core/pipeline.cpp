@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "rl/fused.hpp"
 #include "util/shard.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfdrl::core {
@@ -35,17 +36,18 @@ fl::AggregationMode forecast_aggregation(EmsMethod m) noexcept {
   return fl::AggregationMode::kNone;
 }
 
-/// Prefix starts of each shard's contiguous slice of a home-major list
-/// (size shards+1; the shard map is monotone in the home id).
-std::vector<std::size_t> shard_slices(const std::vector<std::size_t>& homes,
-                                      const ShardedRunner& runner) {
-  std::vector<std::size_t> begin(runner.shards() + 1, 0);
-  std::size_t s = 0;
-  for (std::size_t i = 0; i < homes.size(); ++i) {
-    const std::size_t is = runner.shard_of_home(homes[i]);
-    while (s < is) begin[++s] = i;
+/// Prefix starts of each cell's contiguous slice of items [0, n)
+/// (size cells+1); `cell_of` must be monotone in the item index.
+std::vector<std::size_t> cell_slices(
+    std::size_t n, std::size_t cells,
+    const std::function<std::size_t(std::size_t)>& cell_of) {
+  std::vector<std::size_t> begin(cells + 1, 0);
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ic = cell_of(i);
+    while (c < ic) begin[++c] = i;
   }
-  while (s < runner.shards()) begin[++s] = homes.size();
+  while (c < cells) begin[++c] = n;
   return begin;
 }
 
@@ -197,33 +199,41 @@ std::vector<double> EmsPipeline::forecast_series(std::size_t home,
 
 EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
   EmsRoundPlan plan;
+  std::vector<std::size_t> job_homes;
   for (std::size_t h = 0; h < agents_.size(); ++h) {
     for (std::size_t d = 0; d < agents_[h].size(); ++d) {
       if (agents_[h][d]) {
         plan.jobs.push_back({h, d});
-        plan.job_homes.push_back(h);
+        job_homes.push_back(h);
       }
     }
   }
-  // Fused groups (docs/fused_training.md): one per shard of
-  // shard_runner_'s map or, unsharded, one contiguous block of homes per
-  // pool thread (an all-homes group would run its lockstep rollout on a
-  // single thread). util::shard_of over the runner's shard count is the
-  // runner's own map. Per-agent act/remember/learn sequences do not
-  // depend on the grouping, so rounds are bitwise identical at any size.
-  const std::size_t blocks =
+  // Compute cells and fused groups (docs/fused_training.md): one per
+  // shard of shard_runner_'s map (util::shard_of over the runner's shard
+  // count is the runner's own map) or, unsharded, one contiguous block of
+  // homes per pool thread — an all-homes group would run its lockstep
+  // rollout on a single thread. Per-agent act/remember/learn sequences
+  // do not depend on the grouping, so rounds are bitwise identical at
+  // any size.
+  const std::size_t n = traces_.size();
+  const std::size_t cells =
       util::fused_blocks(shard_runner_.shards(), util::ThreadPool::global());
-  plan.group_begin = util::run_starts(plan.jobs.size(), [&](std::size_t j) {
-    return util::shard_of(plan.job_homes[j], traces_.size(), blocks);
-  });
-  for (std::size_t g = 0; g + 1 < plan.group_begin.size(); ++g) {
-    plan.group_homes.push_back(plan.job_homes[plan.group_begin[g]]);
-  }
-  while (fused_learners_.size() < plan.group_homes.size()) {
+  const auto cell_of_home = [&](std::size_t h) {
+    return util::shard_of(h, n, cells);
+  };
+  const auto cell_of_job = [&](std::size_t j) {
+    return cell_of_home(job_homes[j]);
+  };
+  plan.group_begin = util::run_starts(plan.jobs.size(), cell_of_job);
+  const std::size_t groups = plan.group_begin.size() - 1;
+  while (fused_learners_.size() < groups) {
     fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
   }
-  plan.shard_job_begin = shard_slices(plan.job_homes, shard_runner_);
-  plan.shard_group_begin = shard_slices(plan.group_homes, shard_runner_);
+  plan.cell_home_begin = cell_slices(n, cells, cell_of_home);
+  plan.cell_job_begin = cell_slices(plan.jobs.size(), cells, cell_of_job);
+  plan.cell_group_begin = cell_slices(groups, cells, [&](std::size_t g) {
+    return cell_of_job(plan.group_begin[g]);
+  });
   return plan;
 }
 
@@ -319,80 +329,22 @@ void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
   counters.learn_calls.add(learns);
 }
 
-void EmsPipeline::ems_round(std::size_t begin, std::size_t end) {
-  // Warm-restart hook: a residence whose crash window ended with the
-  // previous round re-enters this round having lost its process state;
-  // the installed hook (sim::SnapshotManager) reloads it from its last
-  // snapshot before any new experience is collected.
-  if (on_home_restart_) {
-    const net::FailureSchedule& failures = cfg_.robustness.failures;
-    if (!failures.crashes.empty() && ems_rounds_done_ > 0) {
-      for (std::size_t h = 0; h < traces_.size(); ++h) {
-        const auto id = static_cast<net::AgentId>(h);
-        if (failures.crashed(id, ems_rounds_done_ - 1) &&
-            !failures.crashed(id, ems_rounds_done_)) {
-          on_home_restart_(h);
-        }
-      }
-    }
-  }
-
-  obs::MetricsRegistry& reg = metrics();
-  obs::SpanTimer round_span(reg.histogram("ems.round_seconds"),
-                            &reg.series("ems.round_seconds_series"));
-  const EmsRoundCounters counters{reg.counter("ems.env_steps"),
-                                  reg.counter("ems.replay_pushes"),
-                                  reg.counter("ems.learn_calls"),
-                                  reg.counter("ems.fused_fallback_groups")};
-  const EmsRoundPlan plan = prepare_round_plan();
-
-  // Fused dispatch (docs/fused_training.md): each group runs its EMS
-  // rollouts in lockstep so learn ticks stack into one fused batch; one
-  // pool task per shard, or per group when unsharded.
-  shard_runner_.run(plan.group_homes, [&](std::size_t g) {
-    run_fused_group(plan, g, begin, end, counters);
-  });
-
-  // Mean exploration rate across agents after this round — the epsilon
-  // trajectory is the quickest convergence sanity check in a dump.
-  if (!plan.jobs.empty()) {
-    double eps_sum = 0.0;
-    for (const auto& [h, d] : plan.jobs) eps_sum += agents_[h][d]->epsilon();
-    const double eps = eps_sum / static_cast<double>(plan.jobs.size());
-    reg.gauge("ems.epsilon").set(eps);
-    reg.series("ems.epsilon_series").append(eps);
-  }
-
-  if (federation_) {
-    std::vector<FederatedDevice> devices;
-    for (std::size_t h = 0; h < agents_.size(); ++h) {
-      for (std::size_t d = 0; d < agents_[h].size(); ++d) {
-        if (!agents_[h][d]) continue;
-        devices.push_back(
-            {static_cast<net::AgentId>(h),
-             static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
-             agents_[h][d].get()});
-      }
-    }
-    federation_->round(devices, ems_rounds_done_);
-  }
-  ++ems_rounds_done_;
-  reg.counter("ems.rounds").add(1);
-  if (on_round_end_) on_round_end_(ems_rounds_done_);
-}
-
-bool EmsPipeline::pipeline_eligible() const {
+bool EmsPipeline::pipelined_rounds() const {
   // The pipeline needs (a) something to overlap — multiple home shards
   // feeding one EMS federation — and (b) a plan-exchange bus the
   // pipelined schedule supports (fl::pipelinable: no star hub stage, no
-  // stochastic fault draws); otherwise rounds take the barrier schedule.
-  return cfg_.sync_mode == SyncMode::kPipeline && shard_runner_.sharded() &&
-         federation_.has_value() && federation_->bus().num_agents() >= 2 &&
+  // stochastic fault draws).
+  return shard_runner_.sharded() && federation_.has_value() &&
+         federation_->bus().num_agents() >= 2 &&
          fl::pipelinable(federation_->bus());
 }
 
-void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
-                                      std::size_t round_minutes) {
+void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
+  const auto round_minutes =
+      static_cast<std::size_t>(cfg_.gamma_hours * 60.0);
+  if (round_minutes == 0) {
+    throw std::invalid_argument("EmsPipeline: gamma too small");
+  }
   std::vector<std::pair<std::size_t, std::size_t>> windows;
   for (std::size_t b = begin; b < end; b += round_minutes) {
     windows.emplace_back(b, std::min(b + round_minutes, end));
@@ -411,61 +363,77 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
   obs::Series& eps_series = reg.series("ems.epsilon_series");
 
   const EmsRoundPlan plan = prepare_round_plan();
-  const std::size_t shards = shard_runner_.shards();
+  const std::size_t cells = plan.cell_home_begin.size() - 1;
+  const bool pipelined = pipelined_rounds();
 
-  // Home-major federated device list, identical to the BSP build, made
-  // once: the exchange session holds spans into the live networks, which
-  // never move during training.
+  // Home-major federated device list, one per job, made once: the
+  // exchange session holds spans into the live networks, which never
+  // move during training.
   std::vector<FederatedDevice> devices;
-  devices.reserve(plan.jobs.size());
-  for (const auto& [h, d] : plan.jobs) {
-    devices.push_back(
-        {static_cast<net::AgentId>(h),
-         static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
-         agents_[h][d].get()});
+  if (federation_) {
+    devices.reserve(plan.jobs.size());
+    for (const auto& [h, d] : plan.jobs) {
+      devices.push_back(
+          {static_cast<net::AgentId>(h),
+           static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
+           agents_[h][d].get()});
+    }
+    federation_->begin_rounds(devices);
   }
-  federation_->begin_staged_rounds(devices);
-  struct StagedEnd {  // tear the session down even when a shard throws
+  struct SessionEnd {  // tear the session down even when a cell throws
     DrlFederation* fed;
-    ~StagedEnd() { fed->end_staged_rounds(); }
-  } staged_end{&*federation_};
-  if (federation_->staged_shards() != shards) {
-    throw std::logic_error(
-        "EmsPipeline: home shards and exchange shards disagree");
+    ~SessionEnd() {
+      if (fed != nullptr) fed->end_rounds();
+    }
+  } session_end{federation_ ? &*federation_ : nullptr};
+
+  std::vector<std::vector<std::uint32_t>> graph(cells);
+  if (pipelined) {
+    // Cells are the exchange shards; readiness follows the broadcast
+    // topology collapsed to shard granularity.
+    if (federation_->shards() != cells) {
+      throw std::logic_error(
+          "EmsPipeline: home shards and exchange shards disagree");
+    }
+    const net::ShardRouter* router = federation_->shard_router();
+    graph = shard_broadcast_graph(
+        federation_->bus().topology(),
+        [router](net::AgentId a) { return router->shard_of(a); }, cells);
+  } else {
+    // Barrier schedule: cells only wait for themselves; the exchange
+    // runs whole at each one-round segment boundary.
+    for (std::size_t c = 0; c < cells; ++c) {
+      graph[c].push_back(static_cast<std::uint32_t>(c));
+    }
   }
-
-  const net::ShardRouter* router = federation_->shard_router();
-  RoundPipeline pipe(shard_broadcast_graph(
-      federation_->bus().topology(),
-      [router](net::AgentId a) { return router->shard_of(a); }, shards));
-
-  // Shard slices of the full home list, for the warm-restart scan —
-  // restarts apply to every home in the shard, agents or not.
-  std::vector<std::size_t> all_homes(traces_.size());
-  for (std::size_t h = 0; h < all_homes.size(); ++h) all_homes[h] = h;
-  const std::vector<std::size_t> shard_home_begin =
-      shard_slices(all_homes, shard_runner_);
+  RoundPipeline pipe(std::move(graph));
 
   const std::uint64_t r0 = ems_rounds_done_;
   std::uint64_t seg_first = r0;
   // Per-(round, job) exploration rates, flat-summed in ascending job
-  // order at round_done so the recorded mean is bitwise identical to the
-  // BSP engine's serial sum (per-shard partial sums would drift in ulps).
+  // order at round_done so the recorded mean never depends on which cell
+  // finished first (per-cell partial sums would drift in ulps), and
+  // per-(round, cell) compute seconds for the shard timing fold.
   std::vector<std::vector<double>> round_eps;
+  std::vector<util::ShardTiming> round_timing;
   std::mutex restart_mutex;
   auto last_round_end = std::chrono::steady_clock::now();
 
   RoundPipeline::Ops ops;
-  ops.compute = [&](std::size_t s, std::uint64_t r) {
-    // Warm-restart hook, shard-local: the same predicate as the BSP scan
-    // but driven by the explicit round id (ems_rounds_done_ lags the
-    // shard front here). Calls are serialized; distinct homes restore
-    // independent state, so cross-shard order doesn't matter.
+  ops.compute = [&](std::size_t c, std::uint64_t r) {
+    const util::Stopwatch watch;
+    // Warm-restart hook: a residence whose crash window ended with the
+    // previous round re-enters this round having lost its process state;
+    // the installed hook (sim::SnapshotManager) reloads it from its last
+    // snapshot before any new experience is collected. Cell-local and
+    // driven by the explicit round id (ems_rounds_done_ may lag the cell
+    // front); calls are serialized, and distinct homes restore
+    // independent state, so cross-cell order doesn't matter.
     if (on_home_restart_ && r > 0) {
       const net::FailureSchedule& failures = cfg_.robustness.failures;
       if (!failures.crashes.empty()) {
-        for (std::size_t h = shard_home_begin[s]; h < shard_home_begin[s + 1];
-             ++h) {
+        for (std::size_t h = plan.cell_home_begin[c];
+             h < plan.cell_home_begin[c + 1]; ++h) {
           const auto id = static_cast<net::AgentId>(h);
           if (failures.crashed(id, r - 1) && !failures.crashed(id, r)) {
             std::lock_guard<std::mutex> lock(restart_mutex);
@@ -475,78 +443,82 @@ void EmsPipeline::train_ems_pipelined(std::size_t begin, std::size_t end,
       }
     }
     const auto [wb, we] = windows[static_cast<std::size_t>(r - r0)];
-    for (std::size_t g = plan.shard_group_begin[s];
-         g < plan.shard_group_begin[s + 1]; ++g) {
+    for (std::size_t g = plan.cell_group_begin[c];
+         g < plan.cell_group_begin[c + 1]; ++g) {
       run_fused_group(plan, g, wb, we, counters);
     }
-    std::vector<double>& eps =
-        round_eps[static_cast<std::size_t>(r - seg_first)];
-    for (std::size_t j = plan.shard_job_begin[s];
-         j < plan.shard_job_begin[s + 1]; ++j) {
+    const auto ri = static_cast<std::size_t>(r - seg_first);
+    for (std::size_t j = plan.cell_job_begin[c];
+         j < plan.cell_job_begin[c + 1]; ++j) {
       const auto [h, d] = plan.jobs[j];
-      eps[j] = agents_[h][d]->epsilon();
+      round_eps[ri][j] = agents_[h][d]->epsilon();
     }
+    round_timing[ri].shard_seconds[c] = watch.elapsed_seconds();
   };
-  ops.publish = [this](std::size_t s, std::uint64_t r) {
-    federation_->publish_staged(s, r);
-  };
-  ops.apply = [this](std::size_t s, std::uint64_t r) {
-    federation_->apply_staged(s, r);
-  };
+  if (pipelined) {
+    ops.publish = [this](std::size_t s, std::uint64_t r) {
+      federation_->publish(s, r);
+    };
+    ops.apply = [this](std::size_t s, std::uint64_t r) {
+      federation_->apply(s, r);
+    };
+  } else {
+    ops.publish = [](std::size_t, std::uint64_t) {};
+    ops.apply = [](std::size_t, std::uint64_t) {};
+  }
   ops.round_done = [&](std::uint64_t r) {
+    const auto ri = static_cast<std::size_t>(r - seg_first);
+    // Mean exploration rate across agents after this round — the epsilon
+    // trajectory is the quickest convergence sanity check in a dump.
     if (!plan.jobs.empty()) {
-      const std::vector<double>& eps =
-          round_eps[static_cast<std::size_t>(r - seg_first)];
       double eps_sum = 0.0;
-      for (const double e : eps) eps_sum += e;
+      for (const double e : round_eps[ri]) eps_sum += e;
       const double mean = eps_sum / static_cast<double>(plan.jobs.size());
       eps_gauge.set(mean);
       eps_series.append(mean);
     }
+    if (shard_runner_.sharded()) {
+      obs::record_shard_timing(reg, "ems.shard", round_timing[ri]);
+    }
     ems_rounds_done_ = r + 1;
     rounds_counter.add(1);
+    // Round time = wall time between consecutive round retirements.
     const auto now = std::chrono::steady_clock::now();
-    round_hist.observe(
-        std::chrono::duration<double>(now - last_round_end).count());
-    round_series.append(
-        std::chrono::duration<double>(now - last_round_end).count());
+    const double seconds =
+        std::chrono::duration<double>(now - last_round_end).count();
+    round_hist.observe(seconds);
+    round_series.append(seconds);
     last_round_end = now;
   };
 
-  // Segments: the pipeline quiesces (the one remaining full barrier)
-  // only where the round-end hook fires; with no hook the whole window
-  // is one segment.
+  // Segments: training quiesces (the one full barrier) only at segment
+  // boundaries. The barrier schedule's segments are one round long and
+  // end in that round's whole exchange; the pipelined schedule's end
+  // where the round-end hook fires (with no hook, the whole window is
+  // one segment).
   const std::size_t nrounds = windows.size();
-  const std::size_t seg_len =
-      (on_round_end_ && on_round_end_every_ > 0)
-          ? static_cast<std::size_t>(on_round_end_every_)
-          : nrounds;
+  std::size_t seg_len = 1;
+  if (pipelined) {
+    seg_len = (on_round_end_ && on_round_end_every_ > 0)
+                  ? static_cast<std::size_t>(on_round_end_every_)
+                  : nrounds;
+  }
   std::size_t done = 0;
   while (done < nrounds) {
     const std::size_t seg = std::min(seg_len, nrounds - done);
     seg_first = r0 + done;
     round_eps.assign(seg, std::vector<double>(plan.jobs.size(), 0.0));
-    pipe.run(util::ThreadPool::global(), r0 + done, seg, ops);
+    round_timing.assign(seg, util::ShardTiming{std::vector<double>(cells)});
+    pipe.run(util::ThreadPool::global(), seg_first, seg, ops);
     done += seg;
-    federation_->fold_staged_metrics(seg);
+    if (pipelined) {
+      federation_->fold_metrics(seg);
+    } else if (federation_) {
+      federation_->round(seg_first);
+    }
     if (on_round_end_) on_round_end_(ems_rounds_done_);
   }
-  record_pipeline_stats(reg, "ems.pipeline", pipe.stats());
-}
-
-void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
-  const auto round_minutes =
-      static_cast<std::size_t>(cfg_.gamma_hours * 60.0);
-  if (round_minutes == 0) {
-    throw std::invalid_argument("EmsPipeline: gamma too small");
-  }
-  if (pipeline_eligible()) {
-    train_ems_pipelined(begin, end, round_minutes);
-    return;
-  }
-  for (std::size_t b = begin; b < end; b += round_minutes) {
-    ems_round(b, std::min(b + round_minutes, end));
-  }
+  if (pipelined) record_pipeline_stats(reg, "ems.pipeline", pipe.stats());
 }
 
 void EmsPipeline::for_each_greedy_rollout(

@@ -9,11 +9,12 @@
 //     the γ schedule (all layers for FRL, α base layers for PFDRL).
 //
 // The per-(home,device) work inside a γ round is embarrassingly parallel
-// and fans out on the global thread pool. Federation rounds are barriers
-// in the bulk-synchronous engine, mirroring the synchronous broadcast in
-// Algorithms 1/2; the pipelined engine (PipelineConfig::sync_mode)
-// replaces them with per-shard dependency edges and produces bitwise
-// identical results (core::RoundPipeline, docs/scaling.md).
+// and fans out on the global thread pool as compute cells of one
+// core::RoundPipeline loop. The run's own inputs pick the exchange
+// schedule (pipelined_rounds()): sharded clean federations overlap one
+// shard's exchange with another's compute; every other run exchanges
+// at a barrier after each round, mirroring the synchronous broadcast in
+// Algorithms 1/2. Both give the same bits (docs/scaling.md).
 #pragma once
 
 #include <functional>
@@ -88,22 +89,15 @@ struct PipelineConfig {
 
   std::uint64_t seed = 123;
 
-  // Bulk-synchronous sharding (docs/scaling.md). > 1 partitions homes
-  // into contiguous shards: each shard's EMS and forecast training runs
-  // as one fused group on one pool task (docs/fused_training.md),
+  // Home sharding (docs/scaling.md). > 1 partitions homes into
+  // contiguous shards: each shard's EMS and forecast training runs as
+  // one fused group on one pool task (docs/fused_training.md),
   // cross-shard parameter messages batch per shard pair per round
-  // (net::ShardRouter), and the exchange drain/aggregate phases run on
-  // the pool. 0/1 = unsharded: one fused group per pool thread. On a
-  // clean fault plan, results are bitwise identical either way.
+  // (net::ShardRouter), and a clean EMS federation takes the pipelined
+  // round schedule (EmsPipeline::pipelined_rounds). 0/1 = unsharded: one
+  // fused group per pool thread. On a clean fault plan, results are
+  // bitwise identical either way.
   std::size_t shards = 0;
-  /// Round synchronization of the EMS loop (docs/scaling.md). kPipeline
-  /// overlaps one shard's compute with another's exchange using
-  /// per-(shard, round) readiness counters instead of global barriers;
-  /// param hashes stay bitwise identical to kBsp at any pool size. Runs
-  /// that are ineligible (unsharded, no EMS federation, star topology,
-  /// stochastic fault plans, < 2 homes) silently use the BSP engine, so
-  /// the default is safe for every method.
-  SyncMode sync_mode = SyncMode::kPipeline;
   /// Lossless delta/XOR wire codec on BOTH federation buses
   /// (docs/wire.md): payload broadcasts are delta-coded against each
   /// sender's previous round and bill the compressed frame size.
@@ -143,6 +137,12 @@ class EmsPipeline {
   /// Phase B — online EMS training over [begin, end) minutes, with DRL
   /// federation every γ hours (methods that share EMS plans only).
   void train_ems(std::size_t begin, std::size_t end);
+
+  /// The round schedule train_ems takes, derived from the run's inputs:
+  /// true (pipelined) when the run is sharded and federated with >= 2
+  /// agents on a plan-exchange bus where fl::pipelinable holds (no star
+  /// hub stage, no stochastic fault draws); false (barrier) otherwise.
+  [[nodiscard]] bool pipelined_rounds() const;
 
   /// Greedy-policy evaluation over [begin, end): one merged result per
   /// residence (summed over its devices).
@@ -217,14 +217,14 @@ class EmsPipeline {
   void invalidate_forecast_cache() { runner_.invalidate_forecasts(); }
 
   /// Fires with the updated ems_rounds_done() — the periodic-snapshot
-  /// trigger. The BSP engine invokes the hook after every round; the
-  /// pipelined engine runs in segments of `every_rounds` rounds and
-  /// invokes the hook only at segment boundaries, where the pipeline is
-  /// fully quiesced (every shard applied, all metrics folded). Callers
-  /// that act on a cadence anyway (sim::SnapshotManager) pass it here so
-  /// the pipeline only barriers where the hook would actually fire; the
-  /// default of 1 preserves per-round firing at the cost of per-round
-  /// quiescing.
+  /// trigger — at segment boundaries, where training is fully quiesced
+  /// (every cell computed, every exchange applied, all metrics folded).
+  /// The barrier schedule's segments are one round long, so it fires
+  /// after every round; the pipelined schedule runs segments of
+  /// `every_rounds` rounds. Callers that act on a cadence anyway
+  /// (sim::SnapshotManager) pass it here so the pipeline only quiesces
+  /// where the hook would actually fire; the default of 1 preserves
+  /// per-round firing at the cost of per-round quiescing.
   void set_on_round_end(std::function<void(std::uint64_t)> hook,
                         std::uint64_t every_rounds = 1) {
     on_round_end_ = std::move(hook);
@@ -258,23 +258,24 @@ class EmsPipeline {
       const std::function<void(std::size_t home, const ems::EmsEnvironment& env,
                                const std::vector<int>& actions)>& visit) const;
 
-  // --- One γ-round, factored so both sync engines share its body ------
+  // --- The γ-round work-list and its compute cells ---------------------
   struct EmsJob {
     std::size_t home, dev;
   };
-  /// The round's work-list, identical for BSP and pipelined rounds: one
-  /// job per live (home, device) agent in home-major order, the fused
-  /// groups over it (one per shard, or per pool thread when unsharded;
-  /// group g covers jobs [group_begin[g], group_begin[g+1])), and the
-  /// shard slicing of both (size shards+1 prefix arrays; jobs/groups are
-  /// home-major and the shard map is monotone, so slices are contiguous).
+  /// The training window's work-list: one job per live (home, device)
+  /// agent in home-major order, the fused groups over it (group g covers
+  /// jobs [group_begin[g], group_begin[g+1])), and the compute cells —
+  /// one per shard when sharded, else one contiguous block of homes per
+  /// pool thread (util::fused_blocks). Cell c owns homes, jobs and groups
+  /// [cell_*_begin[c], cell_*_begin[c+1]); every list is home-major and
+  /// the cell map monotone, so the slices are contiguous. Groups are the
+  /// cells' runs of jobs: a cell holds at most one.
   struct EmsRoundPlan {
     std::vector<EmsJob> jobs;
-    std::vector<std::size_t> job_homes;
     std::vector<std::size_t> group_begin;
-    std::vector<std::size_t> group_homes;
-    std::vector<std::size_t> shard_job_begin;
-    std::vector<std::size_t> shard_group_begin;
+    std::vector<std::size_t> cell_home_begin;
+    std::vector<std::size_t> cell_job_begin;
+    std::vector<std::size_t> cell_group_begin;
   };
   struct EmsRoundCounters {
     obs::Counter& env_steps;
@@ -282,9 +283,9 @@ class EmsPipeline {
     obs::Counter& learn_calls;
     obs::Counter& fused_fallback_groups;
   };
-  /// Build the round plan (and grow fused_learners_ to match — group
+  /// Build the plan (and grow fused_learners_ to match — group
   /// boundaries are pinned by (jobs, shards, pool size), so this is
-  /// idempotent across rounds).
+  /// idempotent across windows).
   [[nodiscard]] EmsRoundPlan prepare_round_plan();
   /// Lockstep EMS rollout+train pass of group g over trace minutes
   /// [begin, end): learn ticks stack into one rl::FusedDqnLearner step.
@@ -294,15 +295,6 @@ class EmsPipeline {
   void run_fused_group(const EmsRoundPlan& plan, std::size_t g,
                        std::size_t begin, std::size_t end,
                        const EmsRoundCounters& counters);
-
-  /// True when train_ems may use the dependency-driven pipeline: asked
-  /// for, sharded, federated, and free of the whole-round protocols
-  /// (star relay, stochastic fault draws) that need a global barrier.
-  [[nodiscard]] bool pipeline_eligible() const;
-  void train_ems_pipelined(std::size_t begin, std::size_t end,
-                           std::size_t round_minutes);
-
-  void ems_round(std::size_t begin, std::size_t end);
 
   const std::vector<data::HouseholdTrace>& traces_;
   PipelineConfig cfg_;
@@ -314,8 +306,7 @@ class EmsPipeline {
   std::optional<DrlFederation> federation_;  // FRL / PFDRL
   /// Declared after cfg_ (its ForecastFn and metrics sink read it).
   EpisodeRunner runner_;
-  /// Bulk-synchronous fan-out stage (cfg_.shards); with shards <= 1 it
-  /// reproduces the legacy flat parallel_for scheduling exactly.
+  /// The pinned home→shard map (cfg_.shards) and the evaluation fan-out.
   ShardedRunner shard_runner_;
   /// Per-group fused DQN learners, indexed like EmsRoundPlan's groups;
   /// group g reuses the same learner's slab capacity every round.

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -36,30 +37,9 @@ void ShardedRunner::run(const std::vector<std::size_t>& job_homes,
   const util::ShardTiming timing = util::sharded_for(
       util::ThreadPool::global(), job_homes.size(), shards_,
       [&](std::size_t j) { return shard_of_home(job_homes[j]); }, body);
-  if (timing.shard_seconds.empty()) return;
-  last_imbalance_ = timing.max_over_mean();
   if (metrics_ != nullptr) {
     obs::record_shard_timing(*metrics_, metric_prefix, timing);
   }
-}
-
-// ---------------------------------------------------------------------------
-// SyncMode
-
-const char* sync_mode_name(SyncMode mode) noexcept {
-  switch (mode) {
-    case SyncMode::kBsp:
-      return "bsp";
-    case SyncMode::kPipeline:
-      return "pipeline";
-  }
-  return "?";
-}
-
-std::optional<SyncMode> parse_sync_mode(const std::string& name) {
-  if (name == "bsp") return SyncMode::kBsp;
-  if (name == "pipeline") return SyncMode::kPipeline;
-  return std::nullopt;
 }
 
 void record_pipeline_stats(obs::MetricsRegistry& registry,
@@ -203,19 +183,25 @@ struct Segment {
   template <typename Fn>
   void spawn(Fn&& fn) {
     inflight.fetch_add(1, std::memory_order_relaxed);
-    pool.submit_detached([this, f = std::forward<Fn>(fn)]() mutable {
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          f();
-        } catch (...) {
-          fail(std::current_exception());
-        }
+    pool.submit_detached(
+        [this, f = std::forward<Fn>(fn)]() mutable { settle(f); });
+  }
+
+  /// Body of a task counted in `inflight`: skipped once the segment
+  /// failed; the last task to settle wakes the waiting caller.
+  template <typename Fn>
+  void settle(Fn& f) {
+    if (!failed.load(std::memory_order_acquire)) {
+      try {
+        f();
+      } catch (...) {
+        fail(std::current_exception());
       }
-      if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
-    });
+    }
+    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard lock(done_mutex);
+      done_cv.notify_all();
+    }
   }
 
   void update_depth_locked() {
@@ -319,9 +305,12 @@ void RoundPipeline::run(util::ThreadPool& pool, std::uint64_t first_round,
   }
   const std::uint64_t wall_start = now_ns();
   Segment seg(pool, ops, out_, target_, first_round, rounds);
-  for (std::size_t s = 0; s < out_.size(); ++s) {
+  for (std::size_t s = 1; s < out_.size(); ++s) {
     seg.spawn([&seg, s] { seg.step(s, 0); });
   }
+  seg.inflight.fetch_add(1, std::memory_order_relaxed);
+  auto first = [&seg] { seg.step(0, 0); };
+  seg.settle(first);
   {
     std::unique_lock lock(seg.done_mutex);
     seg.done_cv.wait(lock, [&seg] {

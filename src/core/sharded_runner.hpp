@@ -1,39 +1,36 @@
-// The fan-out stage of the EMS pipeline, in two synchronization flavors.
+// The fan-out stages of the EMS pipeline.
 //
-// The bulk-synchronous path: the legacy engine threw every (home, device)
-// job at the global pool as one flat parallel_for — fine at 20 homes, but
-// at city scale the scheduler, the forecast cache and the federation bus
-// all want work grouped by home shard. ShardedRunner owns the pinned
-// home→shard assignment (contiguous balanced blocks, util::shard_of — the
-// same assignment net::ShardRouter uses for agent ids, so a shard's homes
-// and its bus endpoints coincide) and dispatches one pool task per shard,
-// recording per-shard wall time as ems.shard.imbalance /
-// ems.shard.seconds. With shards <= 1 it degrades to the exact legacy
-// parallel_for scheduling, which keeps unsharded runs bitwise identical
-// to the pre-shard engine.
+// ShardedRunner owns the pinned home→shard assignment (contiguous
+// balanced blocks, util::shard_of — the same assignment net::ShardRouter
+// uses for agent ids, so a shard's homes and its bus endpoints coincide)
+// and dispatches one pool task per shard; evaluation fans out through
+// it, recording per-shard wall time under a caller-named prefix
+// (ems.eval_shard.*). With shards <= 1 it degrades to one flat
+// parallel_for.
 //
-// The pipelined path: a BSP γ-round costs three full-pool barriers
-// (compute fan-out, inbox drain, aggregation) plus a serial flush, and
-// every shard waits for the slowest one at each. RoundPipeline retires
-// those barriers with per-(shard, round) readiness counters derived from
-// the broadcast topology: shard s advances to round r+1 the moment its
-// own round-r apply is done, and apply(s, r) fires the moment every
-// in-neighbor shard (self included) has published round r — delivered as
-// a continuation on the pool (util::ThreadPool::submit_detached), never
-// as a blocking wait, so the pipeline runs correctly even on a
-// single-worker pool. Fast shards overlap round r+1 compute with slow
-// shards' round-r aggregation; the only full barrier left is the segment
-// boundary the caller chooses (snapshot cadence). Determinism is
-// unaffected: every shard consumes exactly the same per-round neighbor
-// payload set in the same pinned sort order as the barrier engine, so
-// param hashes match bitwise at any worker count (docs/scaling.md).
+// RoundPipeline is the one EMS training round loop. Each (cell, round)
+// computes, publishes and applies; per-(cell, round) readiness counters
+// derived from a broadcast graph decide when apply may run: cell s
+// advances to round r+1 the moment its own round-r apply is done, and
+// apply(s, r) fires the moment every in-neighbor cell (self included)
+// has published round r — delivered as a continuation on the pool
+// (util::ThreadPool::submit_detached), never as a blocking wait, so the
+// pipeline runs correctly even on a single-worker pool. Under the
+// pipelined exchange schedule the cells are home shards and the graph is
+// the federation topology at shard granularity: fast shards overlap
+// round r+1 compute with slow shards' round-r aggregation, and the only
+// full barrier left is the segment boundary the caller chooses
+// (snapshot cadence). Under the barrier schedule every cell only depends
+// on itself and segments are one round long, so the caller runs the
+// whole exchange round at each boundary. Determinism is unaffected:
+// every shard consumes exactly the same per-round neighbor payload set
+// in the same pinned sort order under either schedule, so param hashes
+// match bitwise at any worker count (docs/scaling.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -70,38 +67,15 @@ class ShardedRunner {
   /// metrics under `<metric_prefix>.` when sharded.
   void run(const std::vector<std::size_t>& job_homes,
            const std::function<void(std::size_t)>& body,
-           const char* metric_prefix = "ems.shard") const;
-
-  /// max/mean per-shard seconds of the most recent sharded run() on this
-  /// runner (1.0 when unsharded or before any run).
-  [[nodiscard]] double last_imbalance() const noexcept {
-    return last_imbalance_;
-  }
+           const char* metric_prefix) const;
 
  private:
   std::size_t homes_;
   std::size_t shards_;
   obs::MetricsRegistry* metrics_;
-  mutable double last_imbalance_ = 1.0;
 };
 
-/// Round synchronization discipline of the EMS federation loop.
-enum class SyncMode : std::uint8_t {
-  /// Bulk-synchronous: global barrier between every round phase — the
-  /// reference engine every golden test pins, and the fallback for
-  /// configurations the pipeline excludes (star topology, stochastic
-  /// fault plans).
-  kBsp = 0,
-  /// Dependency-driven round pipelining: shards advance on per-round
-  /// readiness counters, overlapping compute with exchange.
-  kPipeline = 1,
-};
-
-[[nodiscard]] const char* sync_mode_name(SyncMode mode) noexcept;
-/// Inverse of sync_mode_name() ("bsp" / "pipeline"); nullopt otherwise.
-[[nodiscard]] std::optional<SyncMode> parse_sync_mode(const std::string& name);
-
-/// What the pipelined engine did, cumulative across run() segments. Wall
+/// What the pipelined schedule did, cumulative across run() segments. Wall
 /// and stall times are real clock measurements — observability only,
 /// never inputs to the simulation.
 struct PipelineStats {
@@ -114,7 +88,7 @@ struct PipelineStats {
   std::uint64_t max_rounds_in_flight = 1;
   /// Seconds shards spent between finishing their own publish and
   /// starting their apply — waiting on neighbor publishes. The pipeline
-  /// analogue of BSP barrier wait.
+  /// analogue of barrier wait.
   double stall_seconds = 0.0;
   /// Wall seconds during which at least two rounds were open at once —
   /// the overlap the barriers forbade.
@@ -170,8 +144,11 @@ class RoundPipeline {
   /// Run one segment: rounds [first_round, first_round + rounds). Blocks
   /// until every cell is applied and every round_done fired — the
   /// segment boundary is the one full barrier left, which is where
-  /// callers take snapshots. Exceptions from any callback abort the
-  /// segment (in-flight cells finish or bail) and rethrow here.
+  /// callers take snapshots. The calling thread runs cell 0's first step
+  /// itself (as a parallel_for caller joins its sweep), so N cells keep
+  /// N threads busy on a pool of N - 1 workers. Exceptions from any
+  /// callback abort the segment (in-flight cells finish or bail) and
+  /// rethrow here.
   void run(util::ThreadPool& pool, std::uint64_t first_round,
            std::size_t rounds, const Ops& ops);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "nn/kernels.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pfdrl::nn {
 
@@ -80,19 +79,17 @@ double Matrix::squared_norm() const noexcept {
 
 namespace {
 
-// Row-range matmul kernel in ikj order: out_row accumulates one
-// kernels::axpy per k, so the j sweep is branch-free and vectorizes
-// (broadcast a[i][k], contiguous loads from b's row k). Each output
-// element is still a single accumulator walked in ascending-k order —
-// only the *loop structure* changed; dropping the old `aik == 0.0` skip
-// adds exact +0.0 terms. Bitwise identical across thread counts: rows
-// are sharded, never the k reduction.
-void matmul_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                 std::size_t row_begin, std::size_t row_end) {
+// Matmul kernel in ikj order: out_row accumulates one kernels::axpy per
+// k, so the j sweep is branch-free and vectorizes (broadcast a[i][k],
+// contiguous loads from b's row k). Each output element is still a
+// single accumulator walked in ascending-k order — only the *loop
+// structure* changed; dropping the old `aik == 0.0` skip adds exact +0.0
+// terms.
+void matmul_ikj(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t n = b.cols();
   const std::size_t k_dim = a.cols();
   const double* b0 = b.rows() ? b.row(0).data() : nullptr;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
     const double* a_row = a.row(i).data();
     double* out_row = out.row(i).data();
     for (std::size_t j = 0; j < n; ++j) out_row[j] = 0.0;
@@ -114,36 +111,26 @@ bool buffers_overlap(std::span<const double> x,
 
 }  // namespace
 
-void matmul(const Matrix& a, const Matrix& b, Matrix& out, bool threaded) {
+void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
   // Writing the product over an operand that is still being read would
   // corrupt it silently; detour through a temporary instead.
   if (buffers_overlap(out.data(), a.data()) ||
       buffers_overlap(out.data(), b.data())) {
     Matrix tmp;
-    matmul(a, b, tmp, threaded);
+    matmul(a, b, tmp);
     out = std::move(tmp);
     return;
   }
   if (out.rows() != a.rows() || out.cols() != b.cols()) {
     out = Matrix(a.rows(), b.cols());
   }
-  // Threading pays off only for enough work per row; below the cutoff the
-  // pool dispatch overhead dominates.
-  constexpr std::size_t kFlopCutoff = 1u << 16;
-  const std::size_t flops = a.rows() * a.cols() * b.cols();
-  if (threaded && flops >= kFlopCutoff && a.rows() > 1) {
-    util::ThreadPool::global().parallel_for_chunked(
-        0, a.rows(),
-        [&](std::size_t lo, std::size_t hi) { matmul_rows(a, b, out, lo, hi); });
-  } else {
-    matmul_rows(a, b, out, 0, a.rows());
-  }
+  matmul_ikj(a, b, out);
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b, bool threaded) {
+Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
-  matmul(a, b, out, threaded);
+  matmul(a, b, out);
   return out;
 }
 

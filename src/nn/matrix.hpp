@@ -93,17 +93,14 @@ class Matrix {
 };
 
 /// out = a * b. ikj loop order through the branch-free nn::kernels::axpy
-/// (broadcast a[i][k] against b's contiguous row k); when `threaded` and
-/// the output is large enough, rows are sharded across the global thread
-/// pool. Results are bitwise identical either way: each output element is
-/// produced by exactly one thread as a single accumulator walked in
-/// ascending-k order — the invariant the golden tests pin.
+/// (broadcast a[i][k] against b's contiguous row k); each output element
+/// is a single accumulator walked in ascending-k order — the invariant
+/// the golden tests pin. Serial: parallelism lives at the home/shard
+/// level, never inside one product.
 /// If `out` aliases `a` or `b` the product is computed into a temporary
 /// first (silent corruption otherwise), at the cost of one allocation.
-void matmul(const Matrix& a, const Matrix& b, Matrix& out,
-            bool threaded = false);
-[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b,
-                            bool threaded = false);
+void matmul(const Matrix& a, const Matrix& b, Matrix& out);
+[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// out = a^T * b without materializing the transpose.
 void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& out);

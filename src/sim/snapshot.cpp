@@ -21,13 +21,13 @@ namespace {
 /// covers what the payloads mean). Version 2 appended the shard identity
 /// (shard_index, shard_count) to the header; version 3 appended the
 /// logical-byte counter and the wire-codec delta streams to each bus
-/// state (docs/wire.md); version 4 appended the writing run's
-/// round-synchronization engine (core::SyncMode) to the header. Older
+/// state (docs/wire.md); version 4 appended the writing run's EMS round
+/// schedule (0 = barrier, 1 = pipelined) to the header. Older
 /// files are still readable: version-1 deserializes as a whole-run
 /// snapshot ({0, 1}), pre-3 bus states read back with logical_bytes =
 /// bytes_on_wire (identical by definition when no codec ran) and empty
-/// codec state, and pre-4 headers read back as kBsp — provenance only
-/// either way, since the two engines are bitwise interchangeable.
+/// codec state, and pre-4 headers read back as barrier — provenance only
+/// either way, since the two schedules are bitwise interchangeable.
 constexpr std::uint32_t kSnapshotVersion = 4;
 
 // --- Little-endian payload codec --------------------------------------
@@ -295,7 +295,7 @@ RunSnapshot capture_run(const core::EmsPipeline& pipeline,
   snap.num_homes = pipeline.num_homes();
   snap.ems_rounds_done = pipeline.ems_rounds_done();
   snap.train_cursor_minutes = train_cursor_minutes;
-  snap.sync_mode = static_cast<std::uint32_t>(cfg.sync_mode);
+  snap.round_schedule = pipeline.pipelined_rounds() ? 1 : 0;
 
   for (std::size_t h = 0; h < pipeline.num_homes(); ++h) {
     for (std::size_t d = 0; d < pipeline.num_devices(h); ++d) {
@@ -480,7 +480,7 @@ std::vector<std::uint8_t> serialize_snapshot(const RunSnapshot& snap) {
     w.u64(snap.forecasters.size());
     w.u64(snap.shard_index);
     w.u64(snap.shard_count);
-    w.u32(snap.sync_mode);
+    w.u32(snap.round_schedule);
     writer.append(w.take());
   }
   {  // Record 1: metrics.
@@ -551,7 +551,7 @@ RunSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
         throw std::runtime_error("snapshot: invalid shard identity");
       }
     }
-    if (version >= 4) snap.sync_mode = r.u32();
+    if (version >= 4) snap.round_schedule = r.u32();
     r.expect_done();
   }
   {
@@ -619,7 +619,7 @@ void copy_header_scalars(RunSnapshot& dst, const RunSnapshot& src) {
   dst.forecast_rounds_done = src.forecast_rounds_done;
   dst.train_cursor_minutes = src.train_cursor_minutes;
   dst.cloud_backend = src.cloud_backend;
-  dst.sync_mode = src.sync_mode;
+  dst.round_schedule = src.round_schedule;
 }
 
 }  // namespace
@@ -762,9 +762,9 @@ SnapshotManager::SnapshotManager(core::EmsPipeline& pipeline, Options options)
     : pipeline_(pipeline),
       options_(std::move(options)),
       baseline_rounds_(pipeline.ems_rounds_done()) {
-  // The cadence is passed through so the pipelined engine only quiesces
-  // at rounds where this hook would actually save (the hook's own gate
-  // stays — the BSP engine still calls it every round).
+  // The cadence is passed through so the pipelined schedule only
+  // quiesces at rounds where this hook would actually save (the hook's
+  // own gate stays — the barrier schedule still calls it every round).
   pipeline_.set_on_round_end(
       [this](std::uint64_t rounds_done) {
         if (options_.every_rounds == 0) return;

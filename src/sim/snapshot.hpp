@@ -90,12 +90,12 @@ struct RunSnapshot {
   /// rides shard 0. Version-1 files deserialize as {0, 1}.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  /// Round-synchronization engine the writing run used (core::SyncMode).
-  /// Provenance only — the pipelined and BSP engines are bitwise
-  /// interchangeable, so restore never enforces a match; a bsp-written
-  /// file resumes under pipeline and vice versa. Pre-version-4 files
-  /// read back as kBsp (0).
-  std::uint32_t sync_mode = 0;
+  /// EMS round schedule the writing run took
+  /// (core::EmsPipeline::pipelined_rounds): 0 = barrier, 1 = pipelined.
+  /// Provenance only — the two schedules are bitwise interchangeable, so
+  /// restore never enforces a match; a barrier-written file resumes
+  /// pipelined and vice versa. Pre-version-4 files read back as 0.
+  std::uint32_t round_schedule = 0;
   BusSnapshot forecast_bus;
   BusSnapshot drl_bus;
   obs::MetricsSnapshot metrics;

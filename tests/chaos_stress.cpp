@@ -267,8 +267,8 @@ TEST(ChaosStress, SnapshotResumeUnderChaosMatchesUninterrupted) {
 }
 
 // Crash-mid-pipeline resume: the same interrupt-and-restore drill with
-// the dependency-driven round pipeline engaged (sharded run, default
-// --sync-mode pipeline). The fault plan keeps delivery deterministic —
+// the dependency-driven round pipeline engaged (a sharded run takes the
+// pipelined schedule). The fault plan keeps delivery deterministic —
 // scheduled crash windows only, one spanning the snapshot boundary — so
 // the run stays pipeline-eligible, and the resumed run must match the
 // uninterrupted one bitwise: the snapshot is taken at a segment
@@ -294,7 +294,6 @@ TEST(ChaosStress, PipelineCrashResumeMatchesUninterrupted) {
     cfg.beta_hours = 6.0;
     cfg.gamma_hours = 3.0;  // 8 DRL rounds over the training day
     cfg.shards = 2;
-    cfg.sync_mode = core::SyncMode::kPipeline;
     cfg.robustness.failures.crashes.push_back(
         {.agent = 2, .from_round = 0, .until_round = 2});
     // Spans the round-4 snapshot boundary: home 1 is down both when the

@@ -49,11 +49,13 @@ const GoldenHome kGolden[3] = {
 struct SmallOutcome {
   double accuracy = 0.0;
   std::vector<ems::EpisodeResult> results;
+  /// The round schedule the run took (EmsPipeline::pipelined_rounds).
+  bool pipelined = false;
+  /// ems.pipeline.rounds: rounds the pipelined schedule retired.
+  std::uint64_t pipeline_rounds = 0;
 };
 
-SmallOutcome run_small(std::size_t shards, bool wire_codec = false,
-                       core::SyncMode sync = core::SyncMode::kPipeline,
-                       std::uint64_t* pipeline_rounds = nullptr) {
+SmallOutcome run_small(std::size_t shards, bool wire_codec = false) {
   sim::ScenarioConfig sc;
   sc.neighborhood.num_households = 3;
   sc.neighborhood.min_devices = 4;
@@ -72,7 +74,6 @@ SmallOutcome run_small(std::size_t shards, bool wire_codec = false,
   cfg.gamma_hours = 6.0;
   cfg.shards = shards;
   cfg.wire_codec = wire_codec;
-  cfg.sync_mode = sync;
   obs::MetricsRegistry reg;
   cfg.metrics = &reg;
 
@@ -80,11 +81,10 @@ SmallOutcome run_small(std::size_t shards, bool wire_codec = false,
   const std::size_t day = data::kMinutesPerDay;
   pipeline.train_forecasters(0, day);
   pipeline.train_ems(day, 2 * day);
-  if (pipeline_rounds != nullptr) {
-    *pipeline_rounds = reg.counter("ems.pipeline.rounds").value();
-  }
 
   SmallOutcome out;
+  out.pipelined = pipeline.pipelined_rounds();
+  out.pipeline_rounds = reg.counter("ems.pipeline.rounds").value();
   out.accuracy = pipeline.forecast_accuracy(day, 2 * day);
   out.results = pipeline.evaluate(day, 2 * day);
   return out;
@@ -115,13 +115,11 @@ void expect_golden(const SmallOutcome& out) {
 
 TEST(GoldenPfdrl, SmallRunIsBitwiseStable) { expect_golden(run_small(0)); }
 
-// The sharded bulk-synchronous engine (shard-bucketed fan-out, batched
-// cross-shard routing, pool fan-out of the exchange round) must
-// reproduce the legacy flat engine bitwise on a clean fault plan — the
-// same pinned constants, not merely run-to-run agreement. See
-// docs/scaling.md for
-// why this holds (order-independent clean delivery + sorted drains +
-// per-job forked RNGs).
+// A sharded run (one compute cell per shard, batched cross-shard
+// routing) must reproduce the unsharded run bitwise on a clean fault
+// plan — the same pinned constants, not merely run-to-run agreement. See
+// docs/scaling.md for why this holds (order-independent clean delivery +
+// sorted drains + per-job forked RNGs).
 TEST(GoldenPfdrl, ShardedRunMatchesFlatGoldenBitwise) {
   expect_golden(run_small(2));
 }
@@ -136,29 +134,25 @@ TEST(GoldenPfdrl, WireCodecOnMatchesGoldenBitwise) {
   expect_golden(run_small(2, /*wire_codec=*/true));
 }
 
-// The dependency-driven round pipeline (--sync-mode pipeline, the
-// default) must be bitwise indistinguishable from the barrier engine:
-// every shard consumes exactly the same per-round neighbor payload set
-// in the same pinned sort order, only *when* it runs changes. Both sync
-// modes, flat and sharded, codec off and on, all against the same pinned
-// constants — and the pipelined run must prove it actually pipelined
-// (flat runs are ineligible and silently fall back to BSP, which is also
-// asserted).
+// The pipelined and barrier (BSP) round schedules must be bitwise
+// indistinguishable: every shard consumes exactly the same per-round
+// neighbor payload set in the same pinned sort order, only *when* it
+// runs changes. The run's inputs pick the schedule, so each config
+// asserts which one it took and matches the same pinned constants:
+// sharded clean runs, codec off and on, pipeline (and prove it by
+// retiring pipelined rounds); an unsharded run takes the barrier
+// schedule.
 TEST(GoldenPfdrl, PipelineMatchesBspBitwise) {
-  expect_golden(run_small(2, false, core::SyncMode::kBsp));
-  expect_golden(run_small(2, true, core::SyncMode::kBsp));
-
-  std::uint64_t rounds = 0;
-  expect_golden(run_small(2, false, core::SyncMode::kPipeline, &rounds));
-  EXPECT_GT(rounds, 0u) << "pipelined engine never engaged";
-  rounds = 0;
-  expect_golden(run_small(2, true, core::SyncMode::kPipeline, &rounds));
-  EXPECT_GT(rounds, 0u) << "pipelined engine never engaged (codec on)";
-
-  // Unsharded: nothing to overlap, the pipeline must decline.
-  rounds = 1;
-  expect_golden(run_small(0, false, core::SyncMode::kPipeline, &rounds));
-  EXPECT_EQ(rounds, 0u) << "flat run must fall back to the BSP engine";
+  for (const bool codec : {false, true}) {
+    const SmallOutcome sharded = run_small(2, codec);
+    EXPECT_TRUE(sharded.pipelined) << "codec " << codec;
+    EXPECT_GT(sharded.pipeline_rounds, 0u) << "codec " << codec;
+    expect_golden(sharded);
+  }
+  const SmallOutcome flat = run_small(0);
+  EXPECT_FALSE(flat.pipelined);
+  EXPECT_EQ(flat.pipeline_rounds, 0u);
+  expect_golden(flat);
 }
 
 // Chaos determinism: a fully loaded fault plan (drops, delay+jitter,

@@ -311,11 +311,11 @@ std::vector<double> per_agent_reference(
 
 // The fused-training contract end-to-end (docs/fused_training.md): EMS
 // rounds always run in cross-home lockstep with stacked DQN learn slabs
-// (one group per shard, or per pool thread unsharded), on both the BSP
-// (shards <= 1) and pipelined (shards > 1) engines, and every agent's
-// parameters must stay bitwise identical to each agent rolled out alone
-// and trained by its own learn(). No EMS group falls back; LR forecasts
-// make every DFL group fall back per job.
+// (one group per shard, or per pool thread unsharded), on both the
+// barrier (shards <= 1) and pipelined (shards > 1) schedules, and every
+// agent's parameters must stay bitwise identical to each agent rolled
+// out alone and trained by its own learn(). No EMS group falls back; LR
+// forecasts make every DFL group fall back per job.
 TEST(Pipeline, FusedEmsMatchesPerAgentReference) {
   auto sc = sim::tiny_scenario(42);
   sc.neighborhood.num_households = 4;
@@ -345,6 +345,35 @@ TEST(Pipeline, FusedEmsMatchesPerAgentReference) {
     EXPECT_GT(reg.counter("ems.learn_calls").value(), 0u);
     EXPECT_EQ(reg.counter("ems.fused_fallback_groups").value(), 0u);
     EXPECT_GT(reg.counter("dfl.fused_fallback_groups").value(), 0u);
+  }
+}
+
+// EMS shard timing comes from the compute cells, so a sharded run
+// records it on either round schedule: a clean PFDRL run pipelines, a
+// lossy one takes the barrier schedule. ems.pipeline.* stays the
+// pipelined schedule's own instrument.
+TEST(Pipeline, ShardTimingRecordedOnBothSchedules) {
+  const auto scenario = tiny();
+  const std::size_t day = data::kMinutesPerDay;
+  for (const double drop : {0.0, 0.2}) {
+    obs::MetricsRegistry reg;
+    auto cfg = tiny_pipeline(EmsMethod::kPfdrl);
+    cfg.shards = 2;
+    cfg.fault.link.drop_probability = drop;
+    cfg.metrics = &reg;
+    EmsPipeline pipeline(scenario.traces, cfg);
+    const bool pipelined = drop == 0.0;
+    EXPECT_EQ(pipeline.pipelined_rounds(), pipelined) << "drop " << drop;
+    pipeline.train_forecasters(0, day);
+    pipeline.train_ems(day, 2 * day);
+    const std::uint64_t rounds = reg.counter("ems.rounds").value();
+    ASSERT_GT(rounds, 0u);
+    EXPECT_GE(reg.gauge("ems.shard.imbalance").value(), 1.0) << "drop " << drop;
+    EXPECT_EQ(reg.histogram("ems.shard.seconds").count(), 2 * rounds)
+        << "drop " << drop;
+    EXPECT_EQ(reg.counter("ems.pipeline.rounds").value(),
+              pipelined ? rounds : 0u)
+        << "drop " << drop;
   }
 }
 

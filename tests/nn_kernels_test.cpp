@@ -6,7 +6,6 @@
 //     1e-12 relative error across a shape grid that includes the LSTM/GRU
 //     gate widths (4H = 128, 3H = 96, and ragged sizes for the tail path);
 //   * the lane combine order is pinned (a permutation-sensitivity probe);
-//   * threaded matmul must be bitwise identical to single-threaded;
 //   * FP contraction must be off in the flags this binary was built with.
 #include "nn/kernels.hpp"
 
@@ -177,24 +176,6 @@ TEST(NnKernels, MatmulABtMatchesReferenceWithinTolerance) {
       EXPECT_LE(rel_err(got.data()[i], want.data()[i]), 1e-12);
     }
   }
-}
-
-TEST(NnKernels, ThreadedMatmulBitwiseEqualsSingleThreaded) {
-  // 64x64x64 = 262144 flops — past the threading cutoff with rows > 1,
-  // so the threaded call actually shards across the pool. Row sharding
-  // must never change results: each output element is produced by
-  // exactly one thread in the same ascending-k order.
-  util::Rng rng(14);
-  const Matrix a = random_matrix(64, 64, rng);
-  const Matrix b = random_matrix(64, 64, rng);
-  Matrix serial, threaded;
-  matmul(a, b, serial, /*threaded=*/false);
-  matmul(a, b, threaded, /*threaded=*/true);
-  EXPECT_EQ(serial, threaded);
-  // And repeat runs of the threaded path are self-consistent.
-  Matrix again;
-  matmul(a, b, again, /*threaded=*/true);
-  EXPECT_EQ(threaded, again);
 }
 
 TEST(NnKernels, SquaredNormMatchesDotOfSelf) {

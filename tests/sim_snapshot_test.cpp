@@ -221,6 +221,27 @@ TEST(SimSnapshot, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.metrics.series, snap.metrics.series);
 }
 
+// The header records the round schedule the run actually took
+// (EmsPipeline::pipelined_rounds), which follows from the run's inputs:
+// a sharded clean PFDRL run pipelines (1); stochastic fault draws or an
+// unsharded run take the barrier schedule (0). The field survives the
+// wire format.
+TEST(SimSnapshot, RecordsTheRoundScheduleTheRunTook) {
+  const auto traces = make_traces(7);
+  const auto schedule = [&](std::size_t shards, double drop) {
+    obs::MetricsRegistry reg;
+    auto cfg = make_config(reg, 7);
+    cfg.shards = shards;
+    cfg.fault.link.drop_probability = drop;
+    core::EmsPipeline p(traces, cfg);
+    const auto bytes = sim::serialize_snapshot(sim::capture_run(p, kDay));
+    return sim::deserialize_snapshot(bytes).round_schedule;
+  };
+  EXPECT_EQ(schedule(2, 0.0), 1u);
+  EXPECT_EQ(schedule(2, 0.15), 0u);
+  EXPECT_EQ(schedule(0, 0.0), 0u);
+}
+
 // Codec-on crash-resume: with the wire codec enabled on both buses,
 // restoring mid-run must resume the per-sender delta chains, not just
 // the learning state. The proof is the wire-byte ledger: if restore

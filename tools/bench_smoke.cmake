@@ -6,7 +6,9 @@
 #
 # Also exercises the pfdrl_cli snapshot/resume path end-to-end: one run
 # writing periodic snapshots, then a second run resuming from the file —
-# the two runs' evaluation lines must agree exactly.
+# the two runs' evaluation lines must agree exactly. Unsharded and
+# lossy sharded (barrier-schedule) CLI runs must also print the same
+# results at 1 and 4 pool workers.
 #
 # Expected -D inputs: MICRO_KERNELS, EMS_THROUGHPUT, DFL_THROUGHPUT,
 # SCALE_SWEEP, PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
@@ -313,3 +315,43 @@ if(NOT pool_out_1 STREQUAL pool_out_4)
     "fused grouping changed results across pool sizes:\n--- 1 worker:\n${pool_out_1}\n--- 4 workers:\n${pool_out_4}")
 endif()
 message(STATUS "bench_smoke: unsharded CLI runs at 1 and 4 pool workers matched")
+
+# --- barrier schedule through the shipped CLI: a sharded run under a
+# stochastic fault plan with a crash window takes the barrier schedule —
+# concurrent compute cells, the in-cell warm-restart hook reloading the
+# crashed home from its last snapshot (1 warm restart), and the whole
+# exchange round at each one-round segment boundary, where the fault
+# stream is drawn in its pinned order. Neither cell concurrency nor the
+# restart hook may move a bit: stdout at 1 and 4 pool workers must be
+# byte-identical apart from the line naming the snapshot file.
+set(barrier_flags --method pfdrl --homes 6 --days 4 --gamma 6 --seed 7
+  --shards 2
+  --fault-plan drop=0.2,delay=0.01,jitter=0.005,dup=0.02,reorder=1
+  --crash 1:1:3 --snapshot-every 1)
+foreach(workers 1 4)
+  execute_process(
+    COMMAND "${PFDRL_CLI}" ${barrier_flags} --pool-workers ${workers}
+      --snapshot-out "${WORK_DIR}/smoke_barrier_${workers}.pfrc"
+    RESULT_VARIABLE barrier_rc
+    OUTPUT_VARIABLE barrier_out_${workers}
+    ERROR_VARIABLE barrier_err)
+  if(NOT barrier_rc EQUAL 0)
+    message(FATAL_ERROR "pfdrl_cli barrier run at --pool-workers ${workers} failed (${barrier_rc}):\n${barrier_out_${workers}}\n${barrier_err}")
+  endif()
+  string(REGEX REPLACE "snapshots: [0-9]+ saved to [^\n]*\n" ""
+    barrier_cmp_${workers} "${barrier_out_${workers}}")
+endforeach()
+if(NOT barrier_out_1 MATCHES "schedule barrier")
+  message(FATAL_ERROR "pfdrl_cli lossy sharded run did not take the barrier schedule:\n${barrier_out_1}")
+endif()
+if(NOT barrier_out_1 MATCHES "\\(1 warm restart\\)")
+  message(FATAL_ERROR "pfdrl_cli barrier run did not warm-restart the crashed home:\n${barrier_out_1}")
+endif()
+if(NOT barrier_cmp_1 MATCHES "forecast accuracy")
+  message(FATAL_ERROR "pfdrl_cli barrier run printed no results:\n${barrier_out_1}")
+endif()
+if(NOT barrier_cmp_1 STREQUAL barrier_cmp_4)
+  message(FATAL_ERROR
+    "barrier schedule changed results across pool sizes:\n--- 1 worker:\n${barrier_out_1}\n--- 4 workers:\n${barrier_out_4}")
+endif()
+message(STATUS "bench_smoke: barrier-schedule CLI runs at 1 and 4 pool workers matched")
