@@ -13,9 +13,9 @@
 //    schedule) per round;
 //  * mode "pipeline": the dependency-driven engine — the same exchange
 //    session's per-shard publish/apply schedule driven by
-//    core::RoundPipeline readiness counters, per-shard compute
+//    fl::RoundPipeline readiness counters, per-shard compute
 //    overlapping neighbor exchange (stall/overlap seconds are reported
-//    from core::PipelineStats).
+//    from fl::PipelineStats).
 //
 // Homes are cost-weighted (device count ramps 1..4 across the city) and
 // the shard plan is sim::ShardPlan::make_weighted by default, so
@@ -44,8 +44,8 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/sharded_runner.hpp"
 #include "fl/exchange.hpp"
+#include "fl/rounds.hpp"
 #include "net/bus.hpp"
 #include "net/codec.hpp"
 #include "net/shard_router.hpp"
@@ -91,7 +91,7 @@ struct PointResult {
   double imbalance = 1.0;
   /// max/mean of per-shard device weight under the plan (deterministic).
   double cost_imbalance = 1.0;
-  core::PipelineStats pipeline;  // zeroed for bsp points
+  fl::PipelineStats pipeline;  // zeroed for bsp points
   net::ShardRouterStats router;
   net::CodecStats codec;
   std::uint64_t logical_bytes = 0;  ///< bus pre-codec bytes
@@ -248,7 +248,7 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
     std::exit(1);
   }
 
-  core::RoundPipeline pipe(core::shard_broadcast_graph(
+  fl::RoundPipeline pipe(fl::shard_broadcast_graph(
       setup.bus.topology(),
       [&](net::AgentId a) { return setup.router->shard_of(a); },
       setup.plan.shards));
@@ -256,7 +256,7 @@ std::uint64_t run_pipeline(std::size_t agents, const SweepConfig& cfg,
   // Per-shard compute seconds: compute(s, ·) is serialized per shard by
   // the scheduler, so each slot has a single writer.
   std::vector<double> shard_seconds(setup.plan.shards, 0.0);
-  core::RoundPipeline::Ops ops;
+  fl::RoundPipeline::Ops ops;
   ops.compute = [&](std::size_t s, std::uint64_t r) {
     util::Stopwatch w;
     const auto [first, last] = setup.plan.shard_range(s);

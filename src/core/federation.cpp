@@ -32,10 +32,10 @@ DrlFederation::DrlFederation(std::size_t num_homes, std::size_t share_layers,
   if (codec_) bus_.set_codec(codec_.get());
 }
 
-void DrlFederation::begin_rounds(std::vector<FederatedDevice>& devices) {
-  session_.reset();
-  devices_ = &devices;
-  if (bus_.num_agents() < 2) return;
+std::unique_ptr<fl::ParamExchange> DrlFederation::open_rounds(
+    std::vector<FederatedDevice>& devices, fl::RoundLoop& loop) {
+  loop.session = nullptr;
+  if (bus_.num_agents() < 2) return nullptr;
   // One exchange item per registered device agent. `send` is the α-layer
   // base prefix (Eq. 7's shared slice); `in_place` is the live parameter
   // span, so the engine lands the grouped average directly in the network
@@ -61,11 +61,17 @@ void DrlFederation::begin_rounds(std::vector<FederatedDevice>& devices) {
   options.metrics = metrics_;
   options.group_size_histogram = "drl.agg_group_size";
   options.policy = policy_;
-  session_.emplace(bus_, std::move(options), std::move(items));
-}
-
-void DrlFederation::notify(std::size_t item, std::span<const double>) const {
-  (*devices_)[item].agent->notify_external_parameter_update();
+  auto session = std::make_unique<fl::ParamExchange>(bus_, std::move(options),
+                                                     std::move(items));
+  loop.session = session.get();
+  // Commits tell the agent its parameters changed underneath.
+  loop.commit = [&devices](std::size_t i, std::span<const double>) {
+    devices[i].agent->notify_external_parameter_update();
+  };
+  loop.fold = [this](const fl::ExchangeStats& stats, std::uint64_t rounds) {
+    record(stats, rounds);
+  };
+  return session;
 }
 
 void DrlFederation::record(const fl::ExchangeStats& stats,
@@ -85,44 +91,12 @@ void DrlFederation::record(const fl::ExchangeStats& stats,
   }
 }
 
-void DrlFederation::round(std::uint64_t round_id) {
-  if (!session_) return;
-  record(session_->round(round_id,
-                         [this](std::size_t i, std::span<const double> a) {
-                           notify(i, a);
-                         }),
-         1);
-}
-
-void DrlFederation::publish(std::size_t shard, std::uint64_t round_id) {
-  session_->publish_shard(shard, round_id);
-}
-
-void DrlFederation::apply(std::size_t shard, std::uint64_t round_id) {
-  session_->apply_shard(shard, round_id,
-                        [this](std::size_t i, std::span<const double> a) {
-                          notify(i, a);
-                        });
-}
-
-void DrlFederation::fold_metrics(std::uint64_t rounds) {
-  if (session_) record(session_->record_metrics(rounds), rounds);
-}
-
-void DrlFederation::end_rounds() {
-  session_.reset();
-  devices_ = nullptr;
-}
-
-std::size_t DrlFederation::shards() const {
-  return session_ ? session_->num_shards() : 1;
-}
-
 void DrlFederation::round(std::vector<FederatedDevice>& devices,
                           std::uint64_t round_id) {
-  begin_rounds(devices);
-  round(round_id);
-  end_rounds();
+  fl::RoundLoop loop;
+  if (const auto session = open_rounds(devices, loop)) {
+    loop.fold(session->round(round_id, loop.commit), 1);
+  }
 }
 
 }  // namespace pfdrl::core

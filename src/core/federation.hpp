@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fl/exchange.hpp"
+#include "fl/rounds.hpp"
 #include "net/bus.hpp"
 #include "rl/dqn.hpp"
 
@@ -56,33 +56,19 @@ class DrlFederation {
                 std::size_t shards = 0, bool wire_codec = false,
                 bool wire_quant = false);
 
-  // --- Rounds ------------------------------------------------------
-  // One exchange session per training window, driven by either schedule
-  // of fl::ParamExchange. begin_rounds opens it over a device set; every
-  // round is then either round(r) (barrier schedule) or publish(s, r)
-  // per shard followed by apply(s, r) once the shard's in-neighbors
-  // published (pipelined schedule, core::RoundPipeline; the caller gates
-  // it on fl::pipelinable(bus()), the engine throws otherwise).
-  // end_rounds tears the session down. `devices` must outlive the
-  // session and stay unmoved — commits notify through it. A bus of < 2
-  // agents has nobody to exchange with: no session opens and every round
-  // is a no-op.
+  /// Open one training window's exchange session over `devices` and
+  /// point `loop` (fl::run_rounds, which derives the schedule and drives
+  /// every round) at it: commits notify the agents, and exchange stats
+  /// fold into drl.* counters plus bus / router / codec gauges. `devices`
+  /// must outlive the session and stay unmoved. A bus of < 2 agents has
+  /// nobody to exchange with: no session opens (nullptr) and the rounds
+  /// run local only.
+  [[nodiscard]] std::unique_ptr<fl::ParamExchange> open_rounds(
+      std::vector<FederatedDevice>& devices, fl::RoundLoop& loop);
 
-  void begin_rounds(std::vector<FederatedDevice>& devices);
-  /// Barrier schedule: broadcast each agent's shared slice, then average
-  /// per device type at each home (Eq. 7) and stitch with the local
-  /// personalization suffix (Eq. 8). Folds the round's drl.* metrics.
-  void round(std::uint64_t round_id);
-  void publish(std::size_t shard, std::uint64_t round_id);
-  void apply(std::size_t shard, std::uint64_t round_id);
-  /// Fold drl.* / exchange.* / fault.* metric deltas for the `rounds`
-  /// pipelined rounds completed since the previous fold.
-  void fold_metrics(std::uint64_t rounds);
-  void end_rounds();
-  /// Shard count of the open session (1 when unsharded or closed).
-  [[nodiscard]] std::size_t shards() const;
-
-  /// One-shot barrier round: begin_rounds + round + end_rounds.
+  /// One-shot barrier round: broadcast each agent's shared slice, then
+  /// average per device type at each home (Eq. 7) and stitch with the
+  /// local personalization suffix (Eq. 8).
   void round(std::vector<FederatedDevice>& devices, std::uint64_t round_id);
 
   [[nodiscard]] net::BusStats comm_stats() const { return bus_.stats(); }
@@ -111,13 +97,7 @@ class DrlFederation {
   net::MessageBus bus_;
   obs::MetricsRegistry* metrics_;
   fl::ExchangePolicy policy_;
-  /// Open exchange session and the device list its commits notify
-  /// through.
-  std::optional<fl::ParamExchange> session_;
-  std::vector<FederatedDevice>* devices_ = nullptr;
 
-  /// Commit callback: tell the agent its parameters changed underneath.
-  void notify(std::size_t item, std::span<const double> averaged) const;
   /// drl.* counters plus bus / router / codec gauges for `rounds` rounds.
   void record(const fl::ExchangeStats& stats, std::uint64_t rounds);
 };

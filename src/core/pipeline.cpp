@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
-#include <chrono>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -14,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "rl/fused.hpp"
 #include "util/shard.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pfdrl::core {
@@ -36,21 +33,6 @@ fl::AggregationMode forecast_aggregation(EmsMethod m) noexcept {
   return fl::AggregationMode::kNone;
 }
 
-/// Prefix starts of each cell's contiguous slice of items [0, n)
-/// (size cells+1); `cell_of` must be monotone in the item index.
-std::vector<std::size_t> cell_slices(
-    std::size_t n, std::size_t cells,
-    const std::function<std::size_t(std::size_t)>& cell_of) {
-  std::vector<std::size_t> begin(cells + 1, 0);
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ic = cell_of(i);
-    while (c < ic) begin[++c] = i;
-  }
-  while (c < cells) begin[++c] = n;
-  return begin;
-}
-
 }  // namespace
 
 EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
@@ -63,9 +45,12 @@ EmsPipeline::EmsPipeline(const std::vector<data::HouseholdTrace>& traces,
                  std::size_t end) {
             return forecast_series(home, dev, begin, end);
           },
-          cfg_.meter_interval_minutes, &metrics()),
-      shard_runner_(traces.size(), cfg.shards, &metrics()) {
+          cfg_.meter_interval_minutes, &metrics()) {
   if (traces_.empty()) throw std::invalid_argument("EmsPipeline: no traces");
+  if (const std::size_t shards = std::min(cfg_.shards, traces_.size());
+      shards > 1) {
+    metrics().gauge("ems.shard.count").set(static_cast<double>(shards));
+  }
 
   // Forecasting backend.
   if (cfg_.method == EmsMethod::kCloud) {
@@ -197,47 +182,8 @@ std::vector<double> EmsPipeline::forecast_series(std::size_t home,
   return out;
 }
 
-EmsPipeline::EmsRoundPlan EmsPipeline::prepare_round_plan() {
-  EmsRoundPlan plan;
-  std::vector<std::size_t> job_homes;
-  for (std::size_t h = 0; h < agents_.size(); ++h) {
-    for (std::size_t d = 0; d < agents_[h].size(); ++d) {
-      if (agents_[h][d]) {
-        plan.jobs.push_back({h, d});
-        job_homes.push_back(h);
-      }
-    }
-  }
-  // Compute cells and fused groups (docs/fused_training.md): one per
-  // shard of shard_runner_'s map (util::shard_of over the runner's shard
-  // count is the runner's own map) or, unsharded, one contiguous block of
-  // homes per pool thread — an all-homes group would run its lockstep
-  // rollout on a single thread. Per-agent act/remember/learn sequences
-  // do not depend on the grouping, so rounds are bitwise identical at
-  // any size.
-  const std::size_t n = traces_.size();
-  const std::size_t cells =
-      util::fused_blocks(shard_runner_.shards(), util::ThreadPool::global());
-  const auto cell_of_home = [&](std::size_t h) {
-    return util::shard_of(h, n, cells);
-  };
-  const auto cell_of_job = [&](std::size_t j) {
-    return cell_of_home(job_homes[j]);
-  };
-  plan.group_begin = util::run_starts(plan.jobs.size(), cell_of_job);
-  const std::size_t groups = plan.group_begin.size() - 1;
-  while (fused_learners_.size() < groups) {
-    fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
-  }
-  plan.cell_home_begin = cell_slices(n, cells, cell_of_home);
-  plan.cell_job_begin = cell_slices(plan.jobs.size(), cells, cell_of_job);
-  plan.cell_group_begin = cell_slices(groups, cells, [&](std::size_t g) {
-    return cell_of_job(plan.group_begin[g]);
-  });
-  return plan;
-}
-
-void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
+void EmsPipeline::run_fused_group(const std::vector<EmsJob>& jobs,
+                                  const fl::CellPlan& plan, std::size_t c,
                                   std::size_t begin, std::size_t end,
                                   const EmsRoundCounters& counters) {
   // One decision step per meter interval: each agent commits a mode when
@@ -245,14 +191,15 @@ void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
   // the reward integrated over the held interval.
   const std::size_t stride =
       std::max<std::size_t>(1, cfg_.meter_interval_minutes);
-  const std::size_t gb = plan.group_begin[g];
-  const std::size_t n = plan.group_begin[g + 1] - gb;
+  const std::size_t gb = plan.job_begin[c];
+  const std::size_t n = plan.job_begin[c + 1] - gb;
+  if (n == 0) return;
   std::vector<ems::EmsEnvironment> envs;
   std::vector<rl::DqnAgent*> group_agents;
   envs.reserve(n);
   group_agents.reserve(n);
   for (std::size_t j = gb; j < gb + n; ++j) {
-    const auto [h, d] = plan.jobs[j];
+    const auto [h, d] = jobs[j];
     envs.push_back(runner_.environment(h, d, begin, end));
     group_agents.push_back(agents_[h][d].get());
   }
@@ -262,7 +209,7 @@ void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
   std::vector<std::array<double, ems::EmsEnvironment::kStateDim>>
       next_states(n);
   std::vector<double> losses(n);
-  rl::FusedDqnLearner& learner = *fused_learners_[g];
+  rl::FusedDqnLearner& learner = *fused_learners_[c];
   // Lockstep rollout of members [i0, i1), which share one environment
   // length. Returns false if the learner refused them and each agent
   // learned on its own.
@@ -330,98 +277,70 @@ void EmsPipeline::run_fused_group(const EmsRoundPlan& plan, std::size_t g,
 }
 
 bool EmsPipeline::pipelined_rounds() const {
-  // The pipeline needs (a) something to overlap — multiple home shards
-  // feeding one EMS federation — and (b) a plan-exchange bus the
-  // pipelined schedule supports (fl::pipelinable: no star hub stage, no
-  // stochastic fault draws).
-  return shard_runner_.sharded() && federation_.has_value() &&
-         federation_->bus().num_agents() >= 2 &&
-         fl::pipelinable(federation_->bus());
+  // The same predicate fl::run_rounds applies to the open session.
+  return federation_.has_value() && fl::pipelined_rounds(federation_->bus());
 }
 
 void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
-  const auto round_minutes =
-      static_cast<std::size_t>(cfg_.gamma_hours * 60.0);
-  if (round_minutes == 0) {
-    throw std::invalid_argument("EmsPipeline: gamma too small");
-  }
-  std::vector<std::pair<std::size_t, std::size_t>> windows;
-  for (std::size_t b = begin; b < end; b += round_minutes) {
-    windows.emplace_back(b, std::min(b + round_minutes, end));
-  }
-  if (windows.empty()) return;
-
   obs::MetricsRegistry& reg = metrics();
   const EmsRoundCounters counters{reg.counter("ems.env_steps"),
                                   reg.counter("ems.replay_pushes"),
                                   reg.counter("ems.learn_calls"),
                                   reg.counter("ems.fused_fallback_groups")};
-  obs::Histogram& round_hist = reg.histogram("ems.round_seconds");
-  obs::Series& round_series = reg.series("ems.round_seconds_series");
-  obs::Counter& rounds_counter = reg.counter("ems.rounds");
   obs::Gauge& eps_gauge = reg.gauge("ems.epsilon");
   obs::Series& eps_series = reg.series("ems.epsilon_series");
 
-  const EmsRoundPlan plan = prepare_round_plan();
-  const std::size_t cells = plan.cell_home_begin.size() - 1;
-  const bool pipelined = pipelined_rounds();
+  // The window's work-list: one job per live (home, device) agent,
+  // home-major, and its compute cells (one fused group each).
+  std::vector<EmsJob> jobs;
+  std::vector<std::size_t> job_homes;
+  for (std::size_t h = 0; h < agents_.size(); ++h) {
+    for (std::size_t d = 0; d < agents_[h].size(); ++d) {
+      if (agents_[h][d]) {
+        jobs.push_back({h, d});
+        job_homes.push_back(h);
+      }
+    }
+  }
+  const fl::CellPlan plan =
+      fl::plan_cells(job_homes, traces_.size(), cfg_.shards);
+  while (fused_learners_.size() < plan.cells()) {
+    fused_learners_.push_back(std::make_unique<rl::FusedDqnLearner>());
+  }
 
   // Home-major federated device list, one per job, made once: the
   // exchange session holds spans into the live networks, which never
   // move during training.
   std::vector<FederatedDevice> devices;
+  fl::RoundLoop loop;
+  std::unique_ptr<fl::ParamExchange> session;
   if (federation_) {
-    devices.reserve(plan.jobs.size());
-    for (const auto& [h, d] : plan.jobs) {
+    devices.reserve(jobs.size());
+    for (const auto& [h, d] : jobs) {
       devices.push_back(
           {static_cast<net::AgentId>(h),
            static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
            agents_[h][d].get()});
     }
-    federation_->begin_rounds(devices);
+    session = federation_->open_rounds(devices, loop);
   }
-  struct SessionEnd {  // tear the session down even when a cell throws
-    DrlFederation* fed;
-    ~SessionEnd() {
-      if (fed != nullptr) fed->end_rounds();
-    }
-  } session_end{federation_ ? &*federation_ : nullptr};
 
-  std::vector<std::vector<std::uint32_t>> graph(cells);
-  if (pipelined) {
-    // Cells are the exchange shards; readiness follows the broadcast
-    // topology collapsed to shard granularity.
-    if (federation_->shards() != cells) {
-      throw std::logic_error(
-          "EmsPipeline: home shards and exchange shards disagree");
-    }
-    const net::ShardRouter* router = federation_->shard_router();
-    graph = shard_broadcast_graph(
-        federation_->bus().topology(),
-        [router](net::AgentId a) { return router->shard_of(a); }, cells);
-  } else {
-    // Barrier schedule: cells only wait for themselves; the exchange
-    // runs whole at each one-round segment boundary.
-    for (std::size_t c = 0; c < cells; ++c) {
-      graph[c].push_back(static_cast<std::uint32_t>(c));
-    }
-  }
-  RoundPipeline pipe(std::move(graph));
-
-  const std::uint64_t r0 = ems_rounds_done_;
-  std::uint64_t seg_first = r0;
-  // Per-(round, job) exploration rates, flat-summed in ascending job
-  // order at round_done so the recorded mean never depends on which cell
-  // finished first (per-cell partial sums would drift in ulps), and
-  // per-(round, cell) compute seconds for the shard timing fold.
+  // Per-(round, job) exploration rates of the current segment,
+  // flat-summed in ascending job order at round_done so the recorded mean
+  // never depends on which cell finished first (per-cell partial sums
+  // would drift in ulps).
+  std::uint64_t seg_first = 0;
   std::vector<std::vector<double>> round_eps;
-  std::vector<util::ShardTiming> round_timing;
   std::mutex restart_mutex;
-  auto last_round_end = std::chrono::steady_clock::now();
 
-  RoundPipeline::Ops ops;
-  ops.compute = [&](std::size_t c, std::uint64_t r) {
-    const util::Stopwatch watch;
+  loop.prefix = "ems";
+  loop.metrics = &reg;
+  loop.segment_begin = [&](std::uint64_t first, std::size_t rounds) {
+    seg_first = first;
+    round_eps.assign(rounds, std::vector<double>(jobs.size(), 0.0));
+  };
+  loop.compute = [&](std::size_t c, std::uint64_t r, std::size_t wb,
+                     std::size_t we) {
     // Warm-restart hook: a residence whose crash window ended with the
     // previous round re-enters this round having lost its process state;
     // the installed hook (sim::SnapshotManager) reloads it from its last
@@ -432,8 +351,8 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
     if (on_home_restart_ && r > 0) {
       const net::FailureSchedule& failures = cfg_.robustness.failures;
       if (!failures.crashes.empty()) {
-        for (std::size_t h = plan.cell_home_begin[c];
-             h < plan.cell_home_begin[c + 1]; ++h) {
+        for (std::size_t h = plan.home_begin[c]; h < plan.home_begin[c + 1];
+             ++h) {
           const auto id = static_cast<net::AgentId>(h);
           if (failures.crashed(id, r - 1) && !failures.crashed(id, r)) {
             std::lock_guard<std::mutex> lock(restart_mutex);
@@ -442,101 +361,55 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
         }
       }
     }
-    const auto [wb, we] = windows[static_cast<std::size_t>(r - r0)];
-    for (std::size_t g = plan.cell_group_begin[c];
-         g < plan.cell_group_begin[c + 1]; ++g) {
-      run_fused_group(plan, g, wb, we, counters);
+    run_fused_group(jobs, plan, c, wb, we, counters);
+    auto& eps = round_eps[static_cast<std::size_t>(r - seg_first)];
+    for (std::size_t j = plan.job_begin[c]; j < plan.job_begin[c + 1]; ++j) {
+      eps[j] = agents_[jobs[j].home][jobs[j].dev]->epsilon();
     }
-    const auto ri = static_cast<std::size_t>(r - seg_first);
-    for (std::size_t j = plan.cell_job_begin[c];
-         j < plan.cell_job_begin[c + 1]; ++j) {
-      const auto [h, d] = plan.jobs[j];
-      round_eps[ri][j] = agents_[h][d]->epsilon();
-    }
-    round_timing[ri].shard_seconds[c] = watch.elapsed_seconds();
   };
-  if (pipelined) {
-    ops.publish = [this](std::size_t s, std::uint64_t r) {
-      federation_->publish(s, r);
-    };
-    ops.apply = [this](std::size_t s, std::uint64_t r) {
-      federation_->apply(s, r);
-    };
-  } else {
-    ops.publish = [](std::size_t, std::uint64_t) {};
-    ops.apply = [](std::size_t, std::uint64_t) {};
-  }
-  ops.round_done = [&](std::uint64_t r) {
-    const auto ri = static_cast<std::size_t>(r - seg_first);
+  loop.round_done = [&](std::uint64_t r) {
     // Mean exploration rate across agents after this round — the epsilon
     // trajectory is the quickest convergence sanity check in a dump.
-    if (!plan.jobs.empty()) {
+    if (!jobs.empty()) {
       double eps_sum = 0.0;
-      for (const double e : round_eps[ri]) eps_sum += e;
-      const double mean = eps_sum / static_cast<double>(plan.jobs.size());
+      for (const double e : round_eps[static_cast<std::size_t>(r - seg_first)]) {
+        eps_sum += e;
+      }
+      const double mean = eps_sum / static_cast<double>(jobs.size());
       eps_gauge.set(mean);
       eps_series.append(mean);
     }
-    if (shard_runner_.sharded()) {
-      obs::record_shard_timing(reg, "ems.shard", round_timing[ri]);
-    }
     ems_rounds_done_ = r + 1;
-    rounds_counter.add(1);
-    // Round time = wall time between consecutive round retirements.
-    const auto now = std::chrono::steady_clock::now();
-    const double seconds =
-        std::chrono::duration<double>(now - last_round_end).count();
-    round_hist.observe(seconds);
-    round_series.append(seconds);
-    last_round_end = now;
   };
-
-  // Segments: training quiesces (the one full barrier) only at segment
-  // boundaries. The barrier schedule's segments are one round long and
-  // end in that round's whole exchange; the pipelined schedule's end
-  // where the round-end hook fires (with no hook, the whole window is
-  // one segment).
-  const std::size_t nrounds = windows.size();
-  std::size_t seg_len = 1;
-  if (pipelined) {
-    seg_len = (on_round_end_ && on_round_end_every_ > 0)
-                  ? static_cast<std::size_t>(on_round_end_every_)
-                  : nrounds;
+  // Pipelined segments end where the round-end hook fires (with no hook,
+  // the whole window is one segment); barrier segments are one round.
+  if (on_round_end_) {
+    loop.segment_end = [this](std::uint64_t next) { on_round_end_(next); };
+    loop.segment_rounds = static_cast<std::size_t>(on_round_end_every_);
   }
-  std::size_t done = 0;
-  while (done < nrounds) {
-    const std::size_t seg = std::min(seg_len, nrounds - done);
-    seg_first = r0 + done;
-    round_eps.assign(seg, std::vector<double>(plan.jobs.size(), 0.0));
-    round_timing.assign(seg, util::ShardTiming{std::vector<double>(cells)});
-    pipe.run(util::ThreadPool::global(), seg_first, seg, ops);
-    done += seg;
-    if (pipelined) {
-      federation_->fold_metrics(seg);
-    } else if (federation_) {
-      federation_->round(seg_first);
-    }
-    if (on_round_end_) on_round_end_(ems_rounds_done_);
-  }
-  if (pipelined) record_pipeline_stats(reg, "ems.pipeline", pipe.stats());
+  fl::run_rounds(plan, loop, ems_rounds_done_, begin, end,
+                 static_cast<std::size_t>(cfg_.gamma_hours * 60.0));
 }
 
 void EmsPipeline::for_each_greedy_rollout(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, const ems::EmsEnvironment&,
                              const std::vector<int>&)>& visit) const {
-  std::vector<std::size_t> homes(traces_.size());
-  for (std::size_t h = 0; h < homes.size(); ++h) homes[h] = h;
-  shard_runner_.run(
-      homes,
+  // One pool task per home shard (the pinned util::shard_of map, clamped
+  // to the home count), or a flat parallel_for when unsharded.
+  const std::size_t n = traces_.size();
+  const std::size_t shards = std::min(cfg_.shards, n);
+  const util::ShardTiming timing = util::sharded_for(
+      util::ThreadPool::global(), n, shards,
+      [&](std::size_t h) { return util::shard_of(h, n, shards); },
       [&](std::size_t h) {
         for (std::size_t d = 0; d < agents_[h].size(); ++d) {
           if (!agents_[h][d]) continue;
           const ems::EmsEnvironment env = runner_.environment(h, d, begin, end);
           visit(h, env, EpisodeRunner::greedy_actions(*agents_[h][d], env));
         }
-      },
-      "ems.eval_shard");
+      });
+  obs::record_shard_timing(metrics(), "ems.eval_shard", timing);
 }
 
 std::vector<ems::EpisodeResult> EmsPipeline::evaluate(std::size_t begin,

@@ -9,11 +9,12 @@
 //     the γ schedule (all layers for FRL, α base layers for PFDRL).
 //
 // The per-(home,device) work inside a γ round is embarrassingly parallel
-// and fans out on the global thread pool as compute cells of one
-// core::RoundPipeline loop. The run's own inputs pick the exchange
-// schedule (pipelined_rounds()): sharded clean federations overlap one
-// shard's exchange with another's compute; every other run exchanges
-// at a barrier after each round, mirroring the synchronous broadcast in
+// and fans out on the global thread pool as the compute cells of the
+// shared round driver (fl::run_rounds), the same loop the DFL β-rounds
+// run on. The run's own inputs pick the exchange schedule
+// (pipelined_rounds()): sharded clean federations overlap one shard's
+// exchange with another's compute; every other run exchanges at a
+// barrier after each round, mirroring the synchronous broadcast in
 // Algorithms 1/2. Both give the same bits (docs/scaling.md).
 #pragma once
 
@@ -25,13 +26,13 @@
 #include "core/episode.hpp"
 #include "core/federation.hpp"
 #include "core/method.hpp"
-#include "core/sharded_runner.hpp"
 #include "data/tariff.hpp"
 #include "data/trace.hpp"
 #include "ems/accounting.hpp"
 #include "ems/env.hpp"
 #include "fl/baselines.hpp"
 #include "fl/dfl.hpp"
+#include "fl/rounds.hpp"
 #include "rl/dqn.hpp"
 
 namespace pfdrl::obs {
@@ -93,10 +94,11 @@ struct PipelineConfig {
   // contiguous shards: each shard's EMS and forecast training runs as
   // one fused group on one pool task (docs/fused_training.md),
   // cross-shard parameter messages batch per shard pair per round
-  // (net::ShardRouter), and a clean EMS federation takes the pipelined
-  // round schedule (EmsPipeline::pipelined_rounds). 0/1 = unsharded: one
-  // fused group per pool thread. On a clean fault plan, results are
-  // bitwise identical either way.
+  // (net::ShardRouter), and clean federations — DFL forecasts and the
+  // EMS plan exchange alike — take the pipelined round schedule
+  // (fl::pipelined_rounds). 0/1 = unsharded: one fused group per pool
+  // thread. On a clean fault plan, results are bitwise identical either
+  // way.
   std::size_t shards = 0;
   /// Lossless delta/XOR wire codec on BOTH federation buses
   /// (docs/wire.md): payload broadcasts are delta-coded against each
@@ -258,24 +260,9 @@ class EmsPipeline {
       const std::function<void(std::size_t home, const ems::EmsEnvironment& env,
                                const std::vector<int>& actions)>& visit) const;
 
-  // --- The γ-round work-list and its compute cells ---------------------
+  // --- The γ-round work-list --------------------------------------------
   struct EmsJob {
     std::size_t home, dev;
-  };
-  /// The training window's work-list: one job per live (home, device)
-  /// agent in home-major order, the fused groups over it (group g covers
-  /// jobs [group_begin[g], group_begin[g+1])), and the compute cells —
-  /// one per shard when sharded, else one contiguous block of homes per
-  /// pool thread (util::fused_blocks). Cell c owns homes, jobs and groups
-  /// [cell_*_begin[c], cell_*_begin[c+1]); every list is home-major and
-  /// the cell map monotone, so the slices are contiguous. Groups are the
-  /// cells' runs of jobs: a cell holds at most one.
-  struct EmsRoundPlan {
-    std::vector<EmsJob> jobs;
-    std::vector<std::size_t> group_begin;
-    std::vector<std::size_t> cell_home_begin;
-    std::vector<std::size_t> cell_job_begin;
-    std::vector<std::size_t> cell_group_begin;
   };
   struct EmsRoundCounters {
     obs::Counter& env_steps;
@@ -283,16 +270,13 @@ class EmsPipeline {
     obs::Counter& learn_calls;
     obs::Counter& fused_fallback_groups;
   };
-  /// Build the plan (and grow fused_learners_ to match — group
-  /// boundaries are pinned by (jobs, shards, pool size), so this is
-  /// idempotent across windows).
-  [[nodiscard]] EmsRoundPlan prepare_round_plan();
-  /// Lockstep EMS rollout+train pass of group g over trace minutes
-  /// [begin, end): learn ticks stack into one rl::FusedDqnLearner step.
-  /// Ragged environments run one member at a time, and a group the
-  /// learner refuses learns per agent. Safe to run concurrently for
-  /// distinct groups.
-  void run_fused_group(const EmsRoundPlan& plan, std::size_t g,
+  /// Lockstep EMS rollout+train pass of cell c's jobs (one fused group)
+  /// over trace minutes [begin, end): learn ticks stack into one
+  /// rl::FusedDqnLearner step. Ragged environments run one member at a
+  /// time, and a group the learner refuses learns per agent. Safe to run
+  /// concurrently for distinct cells.
+  void run_fused_group(const std::vector<EmsJob>& jobs,
+                       const fl::CellPlan& plan, std::size_t c,
                        std::size_t begin, std::size_t end,
                        const EmsRoundCounters& counters);
 
@@ -306,10 +290,8 @@ class EmsPipeline {
   std::optional<DrlFederation> federation_;  // FRL / PFDRL
   /// Declared after cfg_ (its ForecastFn and metrics sink read it).
   EpisodeRunner runner_;
-  /// The pinned home→shard map (cfg_.shards) and the evaluation fan-out.
-  ShardedRunner shard_runner_;
-  /// Per-group fused DQN learners, indexed like EmsRoundPlan's groups;
-  /// group g reuses the same learner's slab capacity every round.
+  /// Per-cell fused DQN learners (fl::CellPlan); cell c reuses the same
+  /// learner's slab capacity every round.
   std::vector<std::unique_ptr<rl::FusedDqnLearner>> fused_learners_;
   std::uint64_t ems_rounds_done_ = 0;
   std::uint64_t on_round_end_every_ = 1;

@@ -1,16 +1,14 @@
 #include "fl/dfl.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
-#include "fl/exchange.hpp"
+#include "fl/rounds.hpp"
 #include "forecast/fused.hpp"
 #include "forecast/metrics.hpp"
 #include "obs/metrics.hpp"
-#include "util/shard.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -96,131 +94,132 @@ DflTrainer::DflTrainer(const std::vector<data::HouseholdTrace>& traces,
 DflTrainer::~DflTrainer() = default;
 
 std::size_t DflTrainer::run(std::size_t train_begin, std::size_t train_end) {
-  const auto round_minutes = static_cast<std::size_t>(
-      cfg_.broadcast_period_hours * 60.0);
-  if (round_minutes == 0) {
-    throw std::invalid_argument("DflTrainer: broadcast period too small");
-  }
-  std::size_t rounds = 0;
-  for (std::size_t begin = train_begin; begin < train_end;
-       begin += round_minutes) {
-    round(begin, std::min(begin + round_minutes, train_end));
-    ++rounds;
-  }
-  return rounds;
-}
-
-void DflTrainer::round(std::size_t begin, std::size_t end) {
-  std::optional<obs::SpanTimer> round_span;
-  if (cfg_.metrics != nullptr) {
-    round_span.emplace(cfg_.metrics->histogram("dfl.round_seconds"),
-                       &cfg_.metrics->series("dfl.round_seconds_series"));
-  }
-  // Local training step: every (agent, device) pair trains on the newly
-  // recorded minutes. The pairs are independent, so fan out on the pool.
+  // One job per (home, device), home-major. The exchange items follow the
+  // same order (Alg. 1's aggregation step, one item per job); forecasters
+  // expose no mutable flat span, so averages arrive through the commit.
   struct Job {
     std::size_t home;
     std::size_t dev;
   };
   std::vector<Job> jobs;
+  std::vector<std::size_t> job_homes;
+  std::vector<ExchangeItem> items;
   for (std::size_t h = 0; h < agents_.size(); ++h) {
     for (std::size_t d = 0; d < agents_[h].devices.size(); ++d) {
       jobs.push_back({h, d});
+      job_homes.push_back(h);
+      items.push_back(
+          {.agent = static_cast<net::AgentId>(h),
+           .device_type =
+               static_cast<std::uint32_t>(traces_[h].devices[d].spec.type),
+           .send = agents_[h].devices[d]->parameters(),
+           .in_place = {}});
     }
   }
-  // Per-epoch training windows this round, summed over jobs (the same
-  // span/stride arithmetic the sampling cap uses). Relaxed atomic: jobs
-  // only accumulate; the fold into the registry happens once below.
-  std::atomic<std::uint64_t> round_windows{0};
-  // Per-round train config + trainable-window span for one model.
+  const CellPlan plan = plan_cells(job_homes, agents_.size(), cfg_.shards);
+  while (fused_pool_.size() < plan.cells()) {
+    fused_pool_.push_back(std::make_unique<forecast::FusedForecastTrainer>());
+  }
+
+  // One session for the whole run: the items' spans are the live
+  // forecaster parameters, which training and commits update in place.
+  const SecureAggregator aggregator(cfg_.secure);
+  std::optional<ParamExchange> session;
+  if (cfg_.aggregation != AggregationMode::kNone && agents_.size() > 1) {
+    ParamExchange::Options options;
+    options.kind = net::MessageKind::kForecastParams;
+    options.secure = cfg_.secure_aggregation ? &aggregator : nullptr;
+    options.metrics = cfg_.metrics;
+    options.group_size_histogram = "dfl.agg_group_size";
+    options.policy = cfg_.robustness;
+    session.emplace(bus_, std::move(options), std::move(items));
+  }
+
+  obs::Counter* windows_counter = nullptr;
+  obs::Counter* fallback_counter = nullptr;
+  obs::Counter* trained_counter = nullptr;
+  if (cfg_.metrics != nullptr) {
+    windows_counter = &cfg_.metrics->counter("dfl.train_windows");
+    fallback_counter = &cfg_.metrics->counter("dfl.fused_fallback_groups");
+    trained_counter = &cfg_.metrics->counter("dfl.devices_trained");
+  }
   // Small-batch training (paper Table 2): federated agents train on a
   // bounded sample of each round's windows and lean on aggregation for
   // coverage; the Local baseline (kNone) uses everything it has. The
   // span/stride arithmetic is home-independent (every forecaster shares
-  // cfg_.window), which is what lets fused groups share one config.
-  const auto capped_train = [&](const forecast::Forecaster& model) {
+  // cfg_.window), which is what lets a fused group share one config.
+  const auto capped_train = [&](const forecast::Forecaster& model,
+                                std::size_t begin, std::size_t end) {
     forecast::TrainConfig train =
         forecast::resolve_train_config(cfg_.method, cfg_.train);
     const std::size_t hist = data::history_needed(model.window_config());
     const std::size_t span = end > begin + hist ? end - begin - hist : 0;
     if (cfg_.max_round_samples > 0 &&
         cfg_.aggregation != AggregationMode::kNone) {
-      const std::size_t windows = span / std::max<std::size_t>(1, train.stride);
-      if (windows > cfg_.max_round_samples) {
+      const std::size_t n = span / std::max<std::size_t>(1, train.stride);
+      if (n > cfg_.max_round_samples) {
         train.stride = (span + cfg_.max_round_samples - 1) /
                        cfg_.max_round_samples;
       }
     }
     return std::pair{train, span};
   };
-  // Fused dispatch (docs/fused_training.md): one fused batch group per
-  // shard or, unsharded, per contiguous block of homes on each pool
-  // thread. Per-job RNG forks and window accounting do not depend on the
-  // grouping, so rounds are bitwise identical at any group size.
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t homes = agents_.size();
-  const std::size_t blocks = util::fused_blocks(cfg_.shards, pool);
-  const std::vector<std::size_t> group_begin =
-      util::run_starts(jobs.size(), [&](std::size_t j) {
-        return util::shard_of(jobs[j].home, homes, blocks);
-      });
-  const std::size_t groups = group_begin.size() - 1;
-  while (fused_pool_.size() < groups) {
-    fused_pool_.push_back(std::make_unique<forecast::FusedForecastTrainer>());
-  }
-  std::atomic<std::uint64_t> fallback_groups{0};
-  const auto train_group = [&](std::size_t g) {
-    const std::size_t gb = group_begin[g];
-    const std::size_t ge = group_begin[g + 1];
-    // Per-job RNG forked deterministically: results do not depend on the
-    // group or thread that trains a job.
+
+  RoundLoop loop;
+  loop.prefix = "dfl";
+  loop.metrics = cfg_.metrics;
+  loop.session = session ? &*session : nullptr;
+  loop.commit = [&](std::size_t i, std::span<const double> averaged) {
+    agents_[jobs[i].home].devices[jobs[i].dev]->set_parameters(averaged);
+  };
+  loop.fold = [&](const ExchangeStats& stats, std::uint64_t) {
+    if (cfg_.metrics == nullptr) return;
+    cfg_.metrics->counter("dfl.contributions_accepted").add(stats.accepted);
+    cfg_.metrics->counter("dfl.contributions_rejected").add(stats.rejected);
+  };
+  // A cell's jobs train as one fused group. Per-job RNGs fork from the
+  // explicit round id (rounds_done_ lags the pipelined front), so results
+  // do not depend on the cell or thread that trains a job.
+  loop.compute = [&](std::size_t c, std::uint64_t r, std::size_t begin,
+                     std::size_t end) {
+    const std::size_t jb = plan.job_begin[c];
+    const std::size_t je = plan.job_begin[c + 1];
+    if (jb == je) return;
     std::vector<util::Rng> rngs;
-    rngs.reserve(ge - gb);
-    std::vector<forecast::FusedTrainJob> fjobs(ge - gb);
-    for (std::size_t j = gb; j < ge; ++j) {
+    rngs.reserve(je - jb);
+    std::vector<forecast::FusedTrainJob> fjobs(je - jb);
+    for (std::size_t j = jb; j < je; ++j) {
       const auto [h, d] = jobs[j];
-      rngs.push_back(
-          util::Rng(cfg_.seed).fork(rounds_done_ * 10000 + h * 100 + d));
-      fjobs[j - gb] = {agents_[h].devices[d].get(), &traces_[h].devices[d],
+      rngs.push_back(util::Rng(cfg_.seed).fork(r * 10000 + h * 100 + d));
+      fjobs[j - jb] = {agents_[h].devices[d].get(), &traces_[h].devices[d],
                        &rngs.back(), 0.0};
     }
-    const auto [train, span] = capped_train(*fjobs.front().forecaster);
-    round_windows.fetch_add(
-        static_cast<std::uint64_t>(ge - gb) *
-            (span / std::max<std::size_t>(1, train.stride)),
-        std::memory_order_relaxed);
-    if (!fused_pool_[g]->train(fjobs, begin, end, train)) {
+    const auto [train, span] =
+        capped_train(*fjobs.front().forecaster, begin, end);
+    if (windows_counter != nullptr) {
+      windows_counter->add(static_cast<std::uint64_t>(je - jb) *
+                           (span / std::max<std::size_t>(1, train.stride)));
+    }
+    if (!fused_pool_[c]->train(fjobs, begin, end, train)) {
       // Non-fusable group (closed-form method, mismatched shapes):
       // per-job fallback with the still-unconsumed forked RNGs.
-      fallback_groups.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t j = gb; j < ge; ++j) {
+      if (fallback_counter != nullptr) fallback_counter->add(1);
+      for (std::size_t j = jb; j < je; ++j) {
         const auto [h, d] = jobs[j];
         agents_[h].devices[d]->train(traces_[h].devices[d], begin, end,
-                                     train, rngs[j - gb]);
+                                     train, rngs[j - jb]);
       }
     }
   };
-  const util::ShardTiming timing = util::sharded_for(
-      pool, groups, cfg_.shards,
-      [&](std::size_t g) {
-        return util::shard_of(jobs[group_begin[g]].home, homes, cfg_.shards);
-      },
-      train_group);
-  if (cfg_.metrics != nullptr) {
-    obs::record_shard_timing(*cfg_.metrics, "dfl.shard", timing);
-  }
+  loop.round_done = [&](std::uint64_t r) {
+    rounds_done_ = r + 1;
+    if (trained_counter != nullptr) trained_counter->add(jobs.size());
+  };
+  const std::size_t rounds = run_rounds(
+      plan, loop, rounds_done_, train_begin, train_end,
+      static_cast<std::size_t>(cfg_.broadcast_period_hours * 60.0));
 
-  if (cfg_.aggregation != AggregationMode::kNone && agents_.size() > 1) {
-    broadcast_and_aggregate(rounds_done_);
-  }
-  ++rounds_done_;
   if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("dfl.rounds").add(1);
-    cfg_.metrics->counter("dfl.devices_trained").add(jobs.size());
-    cfg_.metrics->counter("dfl.train_windows")
-        .add(round_windows.load(std::memory_order_relaxed));
-    cfg_.metrics->counter("dfl.fused_fallback_groups")
-        .add(fallback_groups.load(std::memory_order_relaxed));
     obs::record_bus_stats(*cfg_.metrics, "bus.forecast", bus_.stats());
     if (router_) {
       obs::record_shard_router_stats(*cfg_.metrics, "bus.forecast",
@@ -231,47 +230,7 @@ void DflTrainer::round(std::size_t begin, std::size_t end) {
                               codec_->stats());
     }
   }
-}
-
-void DflTrainer::broadcast_and_aggregate(std::uint64_t round_id) {
-  // One exchange item per (home, device); the engine owns the whole
-  // broadcast → relay → drain → sort → shape-guard → average round
-  // (Alg. 1's aggregation step). Forecasters expose no mutable flat
-  // span, so the averaged result arrives through the commit callback.
-  struct Slot {
-    std::size_t home, dev;
-  };
-  std::vector<Slot> slots;
-  std::vector<ExchangeItem> items;
-  for (std::size_t h = 0; h < agents_.size(); ++h) {
-    for (std::size_t d = 0; d < agents_[h].devices.size(); ++d) {
-      const auto type =
-          static_cast<std::uint32_t>(traces_[h].devices[d].spec.type);
-      slots.push_back({h, d});
-      items.push_back({.agent = static_cast<net::AgentId>(h),
-                       .device_type = type,
-                       .send = agents_[h].devices[d]->parameters(),
-                       .in_place = {}});
-    }
-  }
-
-  const SecureAggregator aggregator(cfg_.secure);
-  ParamExchange::Options options;
-  options.kind = net::MessageKind::kForecastParams;
-  options.secure = cfg_.secure_aggregation ? &aggregator : nullptr;
-  options.metrics = cfg_.metrics;
-  options.group_size_histogram = "dfl.agg_group_size";
-  options.policy = cfg_.robustness;
-  ParamExchange exchange(bus_, std::move(options), std::move(items));
-  const ExchangeStats stats = exchange.round(
-      round_id, [&](std::size_t i, std::span<const double> averaged) {
-        agents_[slots[i].home].devices[slots[i].dev]->set_parameters(averaged);
-      });
-
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("dfl.contributions_accepted").add(stats.accepted);
-    cfg_.metrics->counter("dfl.contributions_rejected").add(stats.rejected);
-  }
+  return rounds;
 }
 
 const forecast::Forecaster& DflTrainer::forecaster(std::size_t home,

@@ -4,10 +4,13 @@
 // The trainer owns one forecaster per (residence, device). Simulated
 // time advances in rounds of `broadcast_period_hours` (the paper's β):
 // within a round every agent trains each of its device models on the
-// newly recorded minutes (in parallel on the thread pool); at the round
+// newly recorded minutes (fused groups on the thread pool); at the round
 // boundary agents broadcast the parameters of every device model over
 // the message bus and average them with the homologous models (same
-// device *type*) received from other residences.
+// device *type*) received from other residences. run() drives its rounds
+// on the shared round driver (fl/rounds.hpp) over one exchange session,
+// so a sharded clean run takes the pipelined schedule and every other
+// run the barrier one.
 //
 // Aggregation modes cover the paper's comparison matrix:
 //   kDecentralized — full-mesh broadcast, average at every agent (DFL);
@@ -84,12 +87,13 @@ struct DflConfig {
   std::optional<net::TopologyKind> topology;
   /// Cluster size / gossip fanout+seed for the sparse topologies.
   net::TopologyOptions topology_options{};
-  /// Shards for the bulk-synchronous engine: > 1 trains each shard's
-  /// homes as one fused group on one pool task, batches cross-shard
-  /// parameter messages per shard pair per round (net::ShardRouter), and
-  /// parallelizes the exchange drain/aggregate phases. 0/1 = unsharded:
-  /// one fused group per pool thread (bitwise identical results either
-  /// way on a clean fault plan).
+  /// Home shards: > 1 trains each shard's homes as one fused group,
+  /// batches cross-shard parameter messages per shard pair per round
+  /// (net::ShardRouter), and — on a federated bus where
+  /// fl::pipelined_rounds holds — pipelines the rounds, overlapping one
+  /// shard's exchange with another's training (docs/scaling.md). 0/1 =
+  /// unsharded: one fused group per pool thread, barrier rounds (bitwise
+  /// identical results either way on a clean fault plan).
   std::size_t shards = 0;
   /// Lossless delta/XOR wire codec for parameter broadcasts
   /// (docs/wire.md): received params stay bitwise identical, only the
@@ -122,10 +126,6 @@ class DflTrainer {
   /// Returns the number of rounds executed.
   std::size_t run(std::size_t train_begin, std::size_t train_end);
 
-  /// Execute a single round over [begin, end) minutes (exposed for the
-  /// accuracy-vs-days experiment that interleaves training and testing).
-  void round(std::size_t begin, std::size_t end);
-
   /// Forecaster of agent `home` for its device index `dev`.
   [[nodiscard]] const forecast::Forecaster& forecaster(std::size_t home,
                                                        std::size_t dev) const;
@@ -141,9 +141,9 @@ class DflTrainer {
   [[nodiscard]] net::BusStats comm_stats() const { return bus_.stats(); }
 
   // --- Warm-restart persistence surface (see sim/snapshot.hpp) --------
-  /// Rounds executed so far. The per-round training RNG is forked from
-  /// (seed, rounds_done, home, dev), so restoring this counter plus the
-  /// forecaster states is all a bitwise resume needs.
+  /// Rounds executed so far. Round r's training RNG is forked from
+  /// (seed, r, home, dev), so restoring this counter plus the forecaster
+  /// states is all a bitwise resume needs.
   [[nodiscard]] std::uint64_t rounds_done() const noexcept {
     return rounds_done_;
   }
@@ -166,13 +166,11 @@ class DflTrainer {
   }
 
  private:
-  void broadcast_and_aggregate(std::uint64_t round_id);
-
   const std::vector<data::HouseholdTrace>& traces_;
   DflConfig cfg_;
   std::vector<AgentModels> agents_;
-  /// Per-group fused trainers (docs/fused_training.md). Group boundaries
-  /// are pinned by (jobs, shards, pool size), so group g reuses the same
+  /// Per-cell fused trainers (docs/fused_training.md). Cell boundaries
+  /// are pinned by (homes, shards, pool size), so cell c reuses the same
   /// trainer every round.
   std::vector<std::unique_ptr<forecast::FusedForecastTrainer>> fused_pool_;
   /// Declared before bus_ — the bus holds non-owning router and codec

@@ -23,8 +23,9 @@
 //    on the global pool. Deliveries happen in one fixed order, so the
 //    per-bus fault stream is drawn identically on every run.
 //  * Pipelined: publish_shard(s, r) / apply_shard(s, r) are the same
-//    phases cut at shard boundaries, so core::RoundPipeline can overlap
-//    one shard's exchange with another's compute (docs/scaling.md).
+//    phases cut at shard boundaries, so the round driver (fl/rounds.hpp)
+//    can overlap one shard's exchange with another's compute
+//    (docs/scaling.md).
 //    Deliveries then happen in schedule order, so this schedule is only
 //    for buses where pipelinable() holds.
 //
@@ -203,6 +204,7 @@ class ParamExchange {
   [[nodiscard]] std::span<const ExchangeItem> items() const noexcept {
     return items_;
   }
+  [[nodiscard]] const net::MessageBus& bus() const noexcept { return bus_; }
   /// Shard count, derived from the bus's attached router (1 when flat).
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_; }
 

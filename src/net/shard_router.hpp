@@ -1,4 +1,4 @@
-// Batched cross-shard message exchange for the bulk-synchronous engine
+// Batched cross-shard message exchange for the sharded engine
 // (docs/scaling.md). Agents are partitioned into contiguous shards
 // (util::shard_of); same-shard traffic flows straight into inboxes,
 // while cross-shard messages are parked in a per-(src shard, dst shard)

@@ -1,4 +1,4 @@
-// Shard plan for the bulk-synchronous engine (docs/scaling.md).
+// Shard plan for the sharded engine (docs/scaling.md).
 //
 // A ShardPlan pins the home → shard assignment for a run: contiguous,
 // balanced buckets computed from (num_homes, shards) alone, via the same

@@ -19,21 +19,6 @@ std::size_t shard_begin(std::size_t s, std::size_t n,
   return (s * n) / shards;
 }
 
-std::size_t fused_blocks(std::size_t shards,
-                         const ThreadPool& pool) noexcept {
-  return shards > 1 ? shards : pool.size() + 1;
-}
-
-std::vector<std::size_t> run_starts(
-    std::size_t n, const std::function<std::size_t(std::size_t)>& key) {
-  std::vector<std::size_t> starts;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == 0 || key(i) != key(i - 1)) starts.push_back(i);
-  }
-  starts.push_back(n);
-  return starts;
-}
-
 double ShardTiming::max_over_mean() const noexcept {
   if (shard_seconds.empty()) return 1.0;
   double sum = 0.0;

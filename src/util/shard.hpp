@@ -1,10 +1,10 @@
-// Shard assignment and sharded parallel dispatch primitives for the
-// bulk-synchronous engine (docs/scaling.md). Homes are partitioned into
-// contiguous balanced blocks — shard s of S over N items covers
-// [s*N/S, (s+1)*N/S) — so assignment is pinned by (N, S) alone and twin
-// runs agree without any stored mapping. The low-level pieces live here
-// (below net/core in the link order) so the message router, the DFL
-// trainer, and the EMS pipeline can all share them.
+// Shard assignment and sharded parallel dispatch primitives
+// (docs/scaling.md). Homes are partitioned into contiguous balanced
+// blocks — shard s of S over N items covers [s*N/S, (s+1)*N/S) — so
+// assignment is pinned by (N, S) alone and twin runs agree without any
+// stored mapping. The low-level pieces live here (below net/fl/core in
+// the link order) so the message router, the round driver's cell plan
+// and the evaluation fan-out can all share them.
 #pragma once
 
 #include <cstddef>
@@ -23,19 +23,6 @@ class ThreadPool;
 /// First item of shard `s` (also one-past-last of shard s-1).
 [[nodiscard]] std::size_t shard_begin(std::size_t s, std::size_t n,
                                       std::size_t shards) noexcept;
-
-/// Block count of fused training groups (docs/fused_training.md): the
-/// shard count when sharded (shards > 1), otherwise one contiguous block
-/// of homes per pool thread — the workers plus the calling thread, which
-/// joins parallel_for.
-[[nodiscard]] std::size_t fused_blocks(std::size_t shards,
-                                       const ThreadPool& pool) noexcept;
-
-/// Start of every maximal run of equal `key(i)` over [0, n), followed by
-/// n: run r covers [out[r], out[r+1]). Fused groups are the runs of a
-/// home-major job list keyed by block.
-[[nodiscard]] std::vector<std::size_t> run_starts(
-    std::size_t n, const std::function<std::size_t(std::size_t)>& key);
 
 /// Wall-clock seconds each shard spent in its serial slice of a
 /// sharded_for dispatch; empty when the dispatch ran unsharded.

@@ -53,6 +53,10 @@ struct SmallOutcome {
   bool pipelined = false;
   /// ems.pipeline.rounds: rounds the pipelined schedule retired.
   std::uint64_t pipeline_rounds = 0;
+  /// dfl.rounds and dfl.pipeline.rounds: the forecast phase's rounds and
+  /// how many of them the pipelined schedule retired.
+  std::uint64_t dfl_rounds = 0;
+  std::uint64_t dfl_pipeline_rounds = 0;
 };
 
 SmallOutcome run_small(std::size_t shards, bool wire_codec = false) {
@@ -85,6 +89,8 @@ SmallOutcome run_small(std::size_t shards, bool wire_codec = false) {
   SmallOutcome out;
   out.pipelined = pipeline.pipelined_rounds();
   out.pipeline_rounds = reg.counter("ems.pipeline.rounds").value();
+  out.dfl_rounds = reg.counter("dfl.rounds").value();
+  out.dfl_pipeline_rounds = reg.counter("dfl.pipeline.rounds").value();
   out.accuracy = pipeline.forecast_accuracy(day, 2 * day);
   out.results = pipeline.evaluate(day, 2 * day);
   return out;
@@ -139,19 +145,24 @@ TEST(GoldenPfdrl, WireCodecOnMatchesGoldenBitwise) {
 // neighbor payload set in the same pinned sort order, only *when* it
 // runs changes. The run's inputs pick the schedule, so each config
 // asserts which one it took and matches the same pinned constants:
-// sharded clean runs, codec off and on, pipeline (and prove it by
-// retiring pipelined rounds); an unsharded run takes the barrier
-// schedule.
+// sharded clean runs, codec off and on, pipeline both the DFL forecast
+// rounds and the EMS rounds (and prove it by retiring pipelined rounds);
+// an unsharded run takes the barrier schedule in both phases.
 TEST(GoldenPfdrl, PipelineMatchesBspBitwise) {
   for (const bool codec : {false, true}) {
     const SmallOutcome sharded = run_small(2, codec);
     EXPECT_TRUE(sharded.pipelined) << "codec " << codec;
     EXPECT_GT(sharded.pipeline_rounds, 0u) << "codec " << codec;
+    EXPECT_GT(sharded.dfl_rounds, 0u) << "codec " << codec;
+    EXPECT_EQ(sharded.dfl_pipeline_rounds, sharded.dfl_rounds)
+        << "codec " << codec;
     expect_golden(sharded);
   }
   const SmallOutcome flat = run_small(0);
   EXPECT_FALSE(flat.pipelined);
   EXPECT_EQ(flat.pipeline_rounds, 0u);
+  EXPECT_GT(flat.dfl_rounds, 0u);
+  EXPECT_EQ(flat.dfl_pipeline_rounds, 0u);
   expect_golden(flat);
 }
 

@@ -361,6 +361,76 @@ TEST(DflTrainer, ClosedFormMethodsCountFusedFallbacks) {
   }
 }
 
+// DFL rounds run on the shared round driver, which derives the schedule:
+// a sharded clean federation pipelines (one shard's exchange overlaps
+// another's training), every other run exchanges at a barrier after each
+// round. Both schedules must give the same bits and the same exchange
+// totals as the unsharded barrier run, on a full mesh and on a sparse
+// topology whose shard graph is not all-to-all.
+TEST(DflTrainer, PipelinedRoundsMatchBarrierRounds) {
+  const auto traces = small_traces(6, 2);
+  struct Outcome {
+    std::vector<double> params;
+    std::uint64_t accepted = 0;
+    std::uint64_t rounds = 0;
+    bool pipeline_recorded = false;
+    std::uint64_t pipeline_rounds = 0;
+  };
+  const auto run = [&](DflConfig cfg, std::size_t shards) {
+    obs::MetricsRegistry reg;
+    cfg.shards = shards;
+    cfg.metrics = &reg;
+    DflTrainer trainer(traces, cfg);
+    trainer.run(0, data::kMinutesPerDay);
+    Outcome out;
+    out.params = all_parameters(trainer, traces);
+    out.accepted = reg.counter("dfl.contributions_accepted").value();
+    out.rounds = reg.counter("dfl.rounds").value();
+    out.pipeline_recorded = reg.contains("dfl.pipeline.rounds");
+    if (out.pipeline_recorded) {
+      out.pipeline_rounds = reg.counter("dfl.pipeline.rounds").value();
+    }
+    return out;
+  };
+  for (const auto method : {forecast::Method::kLstm, forecast::Method::kLr}) {
+    for (const auto topology :
+         {net::TopologyKind::kFullMesh, net::TopologyKind::kHierarchical}) {
+      auto cfg = fast_dfl(AggregationMode::kDecentralized);
+      cfg.method = method;
+      cfg.train.epochs = 1;
+      cfg.train.stride = 6;
+      cfg.broadcast_period_hours = 6.0;  // four rounds to overlap
+      cfg.topology = topology;
+      cfg.topology_options.cluster_size = 2;
+      const Outcome flat = run(cfg, 0);
+      EXPECT_EQ(flat.rounds, 4u);
+      EXPECT_GT(flat.accepted, 0u);
+      EXPECT_FALSE(flat.pipeline_recorded);
+      for (const std::size_t shards : {2, 3}) {
+        const Outcome sharded = run(cfg, shards);
+        const std::string label = std::string(forecast::method_name(method)) +
+                                  " topology " +
+                                  std::to_string(static_cast<int>(topology)) +
+                                  " shards " + std::to_string(shards);
+        EXPECT_EQ(sharded.params, flat.params) << label;
+        EXPECT_EQ(sharded.accepted, flat.accepted) << label;
+        EXPECT_EQ(sharded.rounds, flat.rounds) << label;
+        EXPECT_TRUE(sharded.pipeline_recorded) << label;
+        EXPECT_EQ(sharded.pipeline_rounds, sharded.rounds) << label;
+      }
+    }
+  }
+  // A star hub stage and stochastic fault draws keep the barrier schedule
+  // even when sharded.
+  auto star = fast_dfl(AggregationMode::kCentralized);
+  EXPECT_FALSE(run(star, 2).pipeline_recorded);
+  auto lossy = fast_dfl(AggregationMode::kDecentralized);
+  lossy.fault.link.drop_probability = 0.2;
+  const Outcome lossy_run = run(lossy, 2);
+  EXPECT_FALSE(lossy_run.pipeline_recorded);
+  EXPECT_EQ(lossy_run.rounds, 2u);
+}
+
 TEST(DflTrainer, SmallBatchCapOnlyAppliesToFederatedModes) {
   // The Local baseline trains on everything (Table 2: no small-batch
   // column); with BP this shows as a measurable accuracy edge for Local

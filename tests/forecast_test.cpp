@@ -119,6 +119,30 @@ INSTANTIATE_TEST_SUITE_P(Methods, AllMethods,
                                            Method::kBp, Method::kLstm,
                                            Method::kGru));
 
+// A federated run's exchange session holds spans into parameters() for
+// the whole run, across every round's training, so train() must update
+// the parameter buffer in place — never replace it.
+TEST(Forecaster, ParameterSpanSurvivesTraining) {
+  const auto trace = sample_trace(2);
+  for (const Method m : {Method::kLstm, Method::kGru, Method::kBp, Method::kLr,
+                         Method::kSvr}) {
+    auto model = make_forecaster(m, small_window(), 7);
+    const std::span<const double> before = model->parameters();
+    const std::vector<double> initial(before.begin(), before.end());
+    TrainConfig tc;
+    tc.epochs = 1;
+    tc.stride = 10;
+    util::Rng rng(3);
+    model->train(trace, 0, data::kMinutesPerDay, tc, rng);
+    const std::span<const double> after = model->parameters();
+    EXPECT_EQ(after.data(), before.data()) << method_name(m);
+    EXPECT_EQ(after.size(), before.size()) << method_name(m);
+    // Training moved the values, so the check is not vacuous.
+    EXPECT_NE(std::vector<double>(after.begin(), after.end()), initial)
+        << method_name(m);
+  }
+}
+
 TEST(MethodNames, PaperLabels) {
   EXPECT_STREQ(method_name(Method::kLr), "LR");
   EXPECT_STREQ(method_name(Method::kSvr), "SVM");

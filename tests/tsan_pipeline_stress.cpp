@@ -1,23 +1,31 @@
 // Data-race stress for the dependency-driven round pipeline: repeated
-// core::RoundPipeline segments driving fl::ParamExchange's pipelined
+// fl::RoundPipeline segments driving fl::ParamExchange's pipelined
 // schedule (per-shard publish/apply over refcounted payload double buffers)
 // on a 4-worker pool, so the per-(shard, round) readiness counters, the
 // continuation handoff, and the frozen-inbox/live-compute buffer split
-// all run under maximum scheduler pressure. Built with -fsanitize=thread
-// (see tests/CMakeLists.txt); a clean exit 0 is the pass signal. Every
-// pipelined repetition must reproduce the bulk-synchronous reference
-// hash bitwise, so the checks double as a lost-update / double-apply
-// detector when the binary is run without TSan.
+// all run under maximum scheduler pressure. A second case runs whole
+// fl::DflTrainer forecast runs (tiny LSTMs, 4 shards, decentralized) on
+// the round driver, where fused training cells, exchange commits into
+// live forecaster parameters and the shared metric counters all overlap.
+// Built with -fsanitize=thread (see tests/CMakeLists.txt); a clean exit
+// 0 is the pass signal. Every pipelined repetition must reproduce the
+// barrier (or unsharded) reference hash bitwise, so the checks double as
+// a lost-update / double-apply detector when the binary is run without
+// TSan.
 #include <cstdint>
 #include <cstdio>
 #include <span>
 #include <vector>
 
-#include "core/sharded_runner.hpp"
+#include "data/household.hpp"
+#include "data/trace.hpp"
+#include "fl/dfl.hpp"
 #include "fl/exchange.hpp"
+#include "fl/rounds.hpp"
 #include "net/bus.hpp"
 #include "net/shard_router.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -31,8 +39,8 @@ constexpr std::size_t kRounds = 10;
 constexpr int kReps = 8;
 constexpr std::uint64_t kSeed = 42;
 
-std::uint64_t fnv1a(const std::vector<double>& params) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t fnv1a(std::span<const double> params,
+                    std::uint64_t h = 1469598103934665603ULL) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(params.data());
   for (std::size_t i = 0; i < params.size() * sizeof(double); ++i) {
     h = (h ^ bytes[i]) * 1099511628211ULL;
@@ -105,10 +113,10 @@ std::uint64_t run_pipeline(const net::Topology& topology) {
                  exchange.num_shards(), kShards);
     std::exit(1);
   }
-  core::RoundPipeline pipe(core::shard_broadcast_graph(
+  fl::RoundPipeline pipe(fl::shard_broadcast_graph(
       topology, [&](net::AgentId a) { return setup.router.shard_of(a); },
       kShards));
-  core::RoundPipeline::Ops ops;
+  fl::RoundPipeline::Ops ops;
   ops.compute = [&](std::size_t s, std::uint64_t r) {
     for (std::size_t a = s * (kAgents / kShards);
          a < (s + 1) * (kAgents / kShards); ++a) {
@@ -131,6 +139,33 @@ std::uint64_t run_pipeline(const net::Topology& topology) {
     std::exit(1);
   }
   return fnv1a(setup.params);
+}
+
+/// One DFL forecast run over `traces`: tiny LSTMs, decentralized full
+/// mesh, four β-rounds. Returns the hash of every forecaster's
+/// parameters; `pipelined_rounds` receives dfl.pipeline.rounds.
+std::uint64_t run_dfl(const std::vector<data::HouseholdTrace>& traces,
+                      std::size_t shards, std::uint64_t& pipelined_rounds) {
+  obs::MetricsRegistry reg;
+  fl::DflConfig cfg;
+  cfg.method = forecast::Method::kLstm;
+  cfg.window.window = 6;
+  cfg.window.horizon = 3;
+  cfg.train.epochs = 1;
+  cfg.train.stride = 40;
+  cfg.broadcast_period_hours = 6.0;
+  cfg.shards = shards;
+  cfg.metrics = &reg;
+  fl::DflTrainer trainer(traces, cfg);
+  trainer.run(0, 24 * 60);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t home = 0; home < traces.size(); ++home) {
+    for (std::size_t d = 0; d < traces[home].devices.size(); ++d) {
+      h = fnv1a(trainer.forecaster(home, d).parameters(), h);
+    }
+  }
+  pipelined_rounds = reg.counter("dfl.pipeline.rounds").value();
+  return h;
 }
 
 }  // namespace
@@ -163,8 +198,41 @@ int main() {
       }
     }
   }
+
+  data::NeighborhoodConfig nc;
+  nc.num_households = 8;
+  nc.min_devices = 2;
+  nc.max_devices = 2;
+  nc.seed = kSeed;
+  data::TraceConfig tc;
+  tc.days = 1;
+  tc.seed = kSeed;
+  std::vector<data::HouseholdTrace> traces;
+  for (const auto& home : data::make_neighborhood(nc)) {
+    traces.push_back(data::generate_household_trace(home, tc));
+  }
+  std::uint64_t pipelined = 0;
+  const std::uint64_t dfl_oracle = run_dfl(traces, 0, pipelined);
+  constexpr int kDflReps = 3;
+  for (int rep = 0; rep < kDflReps; ++rep) {
+    const std::uint64_t got = run_dfl(traces, 4, pipelined);
+    if (pipelined != 4) {
+      std::fprintf(stderr, "FATAL: DFL rep %d pipelined %llu of 4 rounds\n",
+                   rep, static_cast<unsigned long long>(pipelined));
+      return 1;
+    }
+    if (got != dfl_oracle) {
+      std::fprintf(stderr,
+                   "FATAL: DFL rep %d hash %016llx != unsharded oracle "
+                   "%016llx\n",
+                   rep, static_cast<unsigned long long>(got),
+                   static_cast<unsigned long long>(dfl_oracle));
+      return 1;
+    }
+  }
   std::printf("tsan_pipeline_stress: %d pipelined reps x 2 topologies "
-              "matched the bsp oracle — OK\n",
-              kReps);
+              "matched the bsp oracle, %d sharded DFL runs matched the "
+              "unsharded one — OK\n",
+              kReps, kDflReps);
   return 0;
 }

@@ -6,9 +6,9 @@
 #
 # Also exercises the pfdrl_cli snapshot/resume path end-to-end: one run
 # writing periodic snapshots, then a second run resuming from the file —
-# the two runs' evaluation lines must agree exactly. Unsharded and
-# lossy sharded (barrier-schedule) CLI runs must also print the same
-# results at 1 and 4 pool workers.
+# the two runs' evaluation lines must agree exactly. Unsharded, clean
+# sharded (pipelined-schedule) and lossy sharded (barrier-schedule) CLI
+# runs must also print the same results at 1 and 4 pool workers.
 #
 # Expected -D inputs: MICRO_KERNELS, EMS_THROUGHPUT, DFL_THROUGHPUT,
 # SCALE_SWEEP, PFDRL_CLI (executable paths), WORK_DIR (scratch directory).
@@ -355,3 +355,32 @@ if(NOT barrier_cmp_1 STREQUAL barrier_cmp_4)
     "barrier schedule changed results across pool sizes:\n--- 1 worker:\n${barrier_out_1}\n--- 4 workers:\n${barrier_out_4}")
 endif()
 message(STATUS "bench_smoke: barrier-schedule CLI runs at 1 and 4 pool workers matched")
+
+# --- pipelined schedule through the shipped CLI: a clean sharded run
+# pipelines both federated phases — the DFL forecast rounds and the EMS
+# rounds overlap one shard's exchange with the other's compute on the
+# round driver. How far the shards overlap depends on the pool, never
+# the bits: stdout at 1 and 4 pool workers must be byte-identical.
+set(pipelined_flags --method pfdrl --homes 6 --days 4 --gamma 6 --seed 7
+  --shards 2)
+foreach(workers 1 4)
+  execute_process(
+    COMMAND "${PFDRL_CLI}" ${pipelined_flags} --pool-workers ${workers}
+    RESULT_VARIABLE pipelined_rc
+    OUTPUT_VARIABLE pipelined_out_${workers}
+    ERROR_VARIABLE pipelined_err)
+  if(NOT pipelined_rc EQUAL 0)
+    message(FATAL_ERROR "pfdrl_cli pipelined run at --pool-workers ${workers} failed (${pipelined_rc}):\n${pipelined_out_${workers}}\n${pipelined_err}")
+  endif()
+endforeach()
+if(NOT pipelined_out_1 MATCHES "schedule pipelined")
+  message(FATAL_ERROR "pfdrl_cli clean sharded run did not take the pipelined schedule:\n${pipelined_out_1}")
+endif()
+if(NOT pipelined_out_1 MATCHES "forecast accuracy")
+  message(FATAL_ERROR "pfdrl_cli pipelined run printed no results:\n${pipelined_out_1}")
+endif()
+if(NOT pipelined_out_1 STREQUAL pipelined_out_4)
+  message(FATAL_ERROR
+    "pipelined schedule changed results across pool sizes:\n--- 1 worker:\n${pipelined_out_1}\n--- 4 workers:\n${pipelined_out_4}")
+endif()
+message(STATUS "bench_smoke: pipelined-schedule CLI runs at 1 and 4 pool workers matched")
