@@ -25,7 +25,7 @@
 // final parameters must match bitwise per home (the fused determinism
 // contract, re-checked end-to-end at every sweep point).
 //
-// Pool-worker sweep (docs/scaling.md#pipelined-rounds): the recurrent
+// Pool-worker sweep (docs/scaling.md#one-round-schedule): the recurrent
 // kernels and the fused trainer fan out over util::ThreadPool, whose
 // size is fixed once per process (PFDRL_POOL_WORKERS). The sweep
 // therefore re-executes this binary once per requested worker count in

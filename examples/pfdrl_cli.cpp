@@ -2,8 +2,8 @@
 // synthetic neighbourhood and print the results — the "try the system on
 // your parameters" entry point.
 //
-//   $ ./examples/pfdrl_cli --method pfdrl --homes 8 --days 6 \
-//       --alpha 6 --beta 12 --gamma 12 --seed 7 [--paper-scale] [--secure]
+//   $ ./examples/pfdrl_cli --method pfdrl --homes 8 --days 6
+//         --alpha 6 --beta 12 --gamma 12 --seed 7 [--paper-scale] [--secure]
 //
 // Flags (all optional):
 //   --method  local | cloud | fl | frl | pfdrl      (default pfdrl)
@@ -252,10 +252,7 @@ int main(int argc, char** argv) {
                      .c_str()
                : "");
   core::EmsPipeline pipeline(scenario.traces, cfg);
-  if (plan.sharded()) {
-    std::printf("shards: %s (schedule %s)\n", plan.describe().c_str(),
-                pipeline.pipelined_rounds() ? "pipelined" : "barrier");
-  }
+  if (plan.sharded()) std::printf("shards: %s\n", plan.describe().c_str());
   std::printf("\n");
 
   const std::size_t day = data::kMinutesPerDay;

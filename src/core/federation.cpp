@@ -68,16 +68,13 @@ std::unique_ptr<fl::ParamExchange> DrlFederation::open_rounds(
   loop.commit = [&devices](std::size_t i, std::span<const double>) {
     devices[i].agent->notify_external_parameter_update();
   };
-  loop.fold = [this](const fl::ExchangeStats& stats, std::uint64_t rounds) {
-    record(stats, rounds);
-  };
+  loop.fold = [this](const fl::ExchangeStats& stats) { record(stats); };
   return session;
 }
 
-void DrlFederation::record(const fl::ExchangeStats& stats,
-                           std::uint64_t rounds) {
+void DrlFederation::record(const fl::ExchangeStats& stats) {
   if (metrics_ == nullptr) return;
-  metrics_->counter("drl.rounds").add(rounds);
+  metrics_->counter("drl.rounds").add(1);
   metrics_->counter("drl.messages_relayed").add(stats.relayed);
   metrics_->counter("drl.contributions_accepted").add(stats.accepted);
   metrics_->counter("drl.contributions_rejected").add(stats.rejected);
@@ -95,7 +92,7 @@ void DrlFederation::round(std::vector<FederatedDevice>& devices,
                           std::uint64_t round_id) {
   fl::RoundLoop loop;
   if (const auto session = open_rounds(devices, loop)) {
-    loop.fold(session->round(round_id, loop.commit), 1);
+    loop.fold(session->round(round_id, loop.commit));
   }
 }
 

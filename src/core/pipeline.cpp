@@ -276,11 +276,6 @@ void EmsPipeline::run_fused_group(const std::vector<EmsJob>& jobs,
   counters.learn_calls.add(learns);
 }
 
-bool EmsPipeline::pipelined_rounds() const {
-  // The same predicate fl::run_rounds applies to the open session.
-  return federation_.has_value() && fl::pipelined_rounds(federation_->bus());
-}
-
 void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
   obs::MetricsRegistry& reg = metrics();
   const EmsRoundCounters counters{reg.counter("ems.env_steps"),
@@ -325,29 +320,24 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
     session = federation_->open_rounds(devices, loop);
   }
 
-  // Per-(round, job) exploration rates of the current segment,
-  // flat-summed in ascending job order at round_done so the recorded mean
-  // never depends on which cell finished first (per-cell partial sums
-  // would drift in ulps).
-  std::uint64_t seg_first = 0;
-  std::vector<std::vector<double>> round_eps;
+  // Per-job exploration rates of the current round, flat-summed in
+  // ascending job order at round_done so the recorded mean never depends
+  // on which cell finished first (per-cell partial sums would drift in
+  // ulps).
+  std::vector<double> round_eps(jobs.size(), 0.0);
   std::mutex restart_mutex;
 
   loop.prefix = "ems";
   loop.metrics = &reg;
-  loop.segment_begin = [&](std::uint64_t first, std::size_t rounds) {
-    seg_first = first;
-    round_eps.assign(rounds, std::vector<double>(jobs.size(), 0.0));
-  };
   loop.compute = [&](std::size_t c, std::uint64_t r, std::size_t wb,
                      std::size_t we) {
     // Warm-restart hook: a residence whose crash window ended with the
     // previous round re-enters this round having lost its process state;
     // the installed hook (sim::SnapshotManager) reloads it from its last
     // snapshot before any new experience is collected. Cell-local and
-    // driven by the explicit round id (ems_rounds_done_ may lag the cell
-    // front); calls are serialized, and distinct homes restore
-    // independent state, so cross-cell order doesn't matter.
+    // driven by the explicit round id; calls are serialized, and distinct
+    // homes restore independent state, so cross-cell order doesn't
+    // matter.
     if (on_home_restart_ && r > 0) {
       const net::FailureSchedule& failures = cfg_.robustness.failures;
       if (!failures.crashes.empty()) {
@@ -362,9 +352,8 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
       }
     }
     run_fused_group(jobs, plan, c, wb, we, counters);
-    auto& eps = round_eps[static_cast<std::size_t>(r - seg_first)];
     for (std::size_t j = plan.job_begin[c]; j < plan.job_begin[c + 1]; ++j) {
-      eps[j] = agents_[jobs[j].home][jobs[j].dev]->epsilon();
+      round_eps[j] = agents_[jobs[j].home][jobs[j].dev]->epsilon();
     }
   };
   loop.round_done = [&](std::uint64_t r) {
@@ -372,21 +361,14 @@ void EmsPipeline::train_ems(std::size_t begin, std::size_t end) {
     // trajectory is the quickest convergence sanity check in a dump.
     if (!jobs.empty()) {
       double eps_sum = 0.0;
-      for (const double e : round_eps[static_cast<std::size_t>(r - seg_first)]) {
-        eps_sum += e;
-      }
+      for (const double e : round_eps) eps_sum += e;
       const double mean = eps_sum / static_cast<double>(jobs.size());
       eps_gauge.set(mean);
       eps_series.append(mean);
     }
     ems_rounds_done_ = r + 1;
   };
-  // Pipelined segments end where the round-end hook fires (with no hook,
-  // the whole window is one segment); barrier segments are one round.
-  if (on_round_end_) {
-    loop.segment_end = [this](std::uint64_t next) { on_round_end_(next); };
-    loop.segment_rounds = static_cast<std::size_t>(on_round_end_every_);
-  }
+  loop.round_end = on_round_end_;
   fl::run_rounds(plan, loop, ems_rounds_done_, begin, end,
                  static_cast<std::size_t>(cfg_.gamma_hours * 60.0));
 }

@@ -172,14 +172,14 @@ std::size_t DflTrainer::run(std::size_t train_begin, std::size_t train_end) {
   loop.commit = [&](std::size_t i, std::span<const double> averaged) {
     agents_[jobs[i].home].devices[jobs[i].dev]->set_parameters(averaged);
   };
-  loop.fold = [&](const ExchangeStats& stats, std::uint64_t) {
+  loop.fold = [&](const ExchangeStats& stats) {
     if (cfg_.metrics == nullptr) return;
     cfg_.metrics->counter("dfl.contributions_accepted").add(stats.accepted);
     cfg_.metrics->counter("dfl.contributions_rejected").add(stats.rejected);
   };
   // A cell's jobs train as one fused group. Per-job RNGs fork from the
-  // explicit round id (rounds_done_ lags the pipelined front), so results
-  // do not depend on the cell or thread that trains a job.
+  // explicit round id, so results do not depend on the cell or thread
+  // that trains a job.
   loop.compute = [&](std::size_t c, std::uint64_t r, std::size_t begin,
                      std::size_t end) {
     const std::size_t jb = plan.job_begin[c];

@@ -185,7 +185,6 @@ void GruRegressor::backward(const Matrix& grad_out, std::span<double> grads) {
       double* dzr = dz.row(r).data();
       for (std::size_t j = 0; j < h_; ++j) {
         const double zg = g[j];
-        const double rg = g[h_ + j];
         const double cand = g[2 * h_ + j];
         const double dht = dhr[j];
 

@@ -22,12 +22,12 @@ namespace {
 /// (shard_index, shard_count) to the header; version 3 appended the
 /// logical-byte counter and the wire-codec delta streams to each bus
 /// state (docs/wire.md); version 4 appended the writing run's EMS round
-/// schedule (0 = barrier, 1 = pipelined) to the header. Older
-/// files are still readable: version-1 deserializes as a whole-run
-/// snapshot ({0, 1}), pre-3 bus states read back with logical_bytes =
-/// bytes_on_wire (identical by definition when no codec ran) and empty
-/// codec state, and pre-4 headers read back as barrier — provenance only
-/// either way, since the two schedules are bitwise interchangeable.
+/// schedule to the header (always 0 now that runs have one schedule;
+/// provenance only, never read back into a run). Older files are still
+/// readable: version-1 deserializes as a whole-run snapshot ({0, 1}),
+/// pre-3 bus states read back with logical_bytes = bytes_on_wire
+/// (identical by definition when no codec ran) and empty codec state,
+/// and pre-4 headers read back as 0.
 constexpr std::uint32_t kSnapshotVersion = 4;
 
 // --- Little-endian payload codec --------------------------------------
@@ -295,7 +295,6 @@ RunSnapshot capture_run(const core::EmsPipeline& pipeline,
   snap.num_homes = pipeline.num_homes();
   snap.ems_rounds_done = pipeline.ems_rounds_done();
   snap.train_cursor_minutes = train_cursor_minutes;
-  snap.round_schedule = pipeline.pipelined_rounds() ? 1 : 0;
 
   for (std::size_t h = 0; h < pipeline.num_homes(); ++h) {
     for (std::size_t d = 0; d < pipeline.num_devices(h); ++d) {
@@ -762,27 +761,21 @@ SnapshotManager::SnapshotManager(core::EmsPipeline& pipeline, Options options)
     : pipeline_(pipeline),
       options_(std::move(options)),
       baseline_rounds_(pipeline.ems_rounds_done()) {
-  // The cadence is passed through so the pipelined schedule only
-  // quiesces at rounds where this hook would actually save (the hook's
-  // own gate stays — the barrier schedule still calls it every round).
-  pipeline_.set_on_round_end(
-      [this](std::uint64_t rounds_done) {
-        if (options_.every_rounds == 0) return;
-        if ((rounds_done - baseline_rounds_) % options_.every_rounds != 0) {
-          return;
-        }
-        RunSnapshot fresh =
-            capture_run(pipeline_, cursor_for_rounds(rounds_done));
-        if (last_) {
-          freeze_crashed_homes(fresh, *last_,
-                               pipeline_.config().robustness.failures,
-                               rounds_done - 1);
-        }
-        last_ = std::move(fresh);
-        persist();
-        ++saves_;
-      },
-      options_.every_rounds);
+  pipeline_.set_on_round_end([this](std::uint64_t rounds_done) {
+    if (options_.every_rounds == 0) return;
+    if ((rounds_done - baseline_rounds_) % options_.every_rounds != 0) {
+      return;
+    }
+    RunSnapshot fresh = capture_run(pipeline_, cursor_for_rounds(rounds_done));
+    if (last_) {
+      freeze_crashed_homes(fresh, *last_,
+                           pipeline_.config().robustness.failures,
+                           rounds_done - 1);
+    }
+    last_ = std::move(fresh);
+    persist();
+    ++saves_;
+  });
   pipeline_.set_on_home_restart([this](std::size_t home) {
     // No snapshot yet → nothing durable to reload; the home keeps its
     // state (degenerates to the original uplink-loss model).

@@ -90,11 +90,12 @@ struct RunSnapshot {
   /// rides shard 0. Version-1 files deserialize as {0, 1}.
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  /// EMS round schedule the writing run took
-  /// (core::EmsPipeline::pipelined_rounds): 0 = barrier, 1 = pipelined.
-  /// Provenance only — the two schedules are bitwise interchangeable, so
-  /// restore never enforces a match; a barrier-written file resumes
-  /// pipelined and vice versa. Pre-version-4 files read back as 0.
+  /// EMS round schedule the writing run took. Runs have one schedule
+  /// (barrier rounds, fl/rounds.hpp), so writers always store 0; the
+  /// field stays in the version-4 header for format stability. Files
+  /// written while a second, pipelined schedule existed may carry 1 —
+  /// provenance only, restore never reads it. Pre-version-4 files read
+  /// back as 0.
   std::uint32_t round_schedule = 0;
   BusSnapshot forecast_bus;
   BusSnapshot drl_bus;

@@ -170,8 +170,7 @@ class ThreadPool {
 
   /// Continuation-style enqueue: no future, no promise/shared-state
   /// allocation. The caller is responsible for its own completion
-  /// signalling (readiness counters, condition variables). This is the
-  /// hot path the round pipeline schedules on.
+  /// signalling (readiness counters, condition variables).
   template <typename F>
   void submit_detached(F&& fn) {
     push_task(TaskSlot(std::forward<F>(fn)));

@@ -3,6 +3,7 @@
 // util::records style: corrupt input must throw, never crash or read out
 // of bounds), stream-state semantics (keyframes, repeats, reset_agent,
 // capture/restore), and the quantize mode's twin-run determinism.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -79,7 +80,7 @@ TEST(NetCodec, RoundtripsRampsAndRandomWalks) {
   for (int step = 0; step < 8; ++step) {
     for (double& v : cur) v += 1e-9 * rng.normal();
     roundtrip(cur, prev, "random walk step");
-    prev = cur;
+    std::copy(cur.begin(), cur.end(), prev.begin());  // same length
   }
   // Small-delta walks must actually compress (that is the whole point).
   std::vector<std::uint8_t> frame;

@@ -207,7 +207,7 @@ TEST(Matmul, OutAliasingBIsGuarded) {
 // the 4-wide register block and its remainder (rows % 4 in {0,1,2,3}).
 TEST(Matmul, ABtShapesMatchNaive) {
   util::Rng rng(9);
-  for (const auto [m, k, n] :
+  for (const auto& [m, k, n] :
        {std::tuple{1, 1, 1}, std::tuple{2, 5, 3}, std::tuple{5, 6, 4},
         std::tuple{7, 3, 6}, std::tuple{4, 8, 9}, std::tuple{13, 5, 11}}) {
     const Matrix a = random_matrix(static_cast<std::size_t>(m),

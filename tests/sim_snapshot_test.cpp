@@ -221,12 +221,10 @@ TEST(SimSnapshot, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.metrics.series, snap.metrics.series);
 }
 
-// The header records the round schedule the run actually took
-// (EmsPipeline::pipelined_rounds), which follows from the run's inputs:
-// a sharded clean PFDRL run pipelines (1); stochastic fault draws or an
-// unsharded run take the barrier schedule (0). The field survives the
-// wire format.
-TEST(SimSnapshot, RecordsTheRoundScheduleTheRunTook) {
+// Runs have one round schedule, so every writer stores round_schedule 0
+// — sharded or not, clean or lossy — and the field survives the wire
+// format (the header stays at version 4).
+TEST(SimSnapshot, RoundScheduleIsAlwaysZero) {
   const auto traces = make_traces(7);
   const auto schedule = [&](std::size_t shards, double drop) {
     obs::MetricsRegistry reg;
@@ -237,7 +235,7 @@ TEST(SimSnapshot, RecordsTheRoundScheduleTheRunTook) {
     const auto bytes = sim::serialize_snapshot(sim::capture_run(p, kDay));
     return sim::deserialize_snapshot(bytes).round_schedule;
   };
-  EXPECT_EQ(schedule(2, 0.0), 1u);
+  EXPECT_EQ(schedule(2, 0.0), 0u);
   EXPECT_EQ(schedule(2, 0.15), 0u);
   EXPECT_EQ(schedule(0, 0.0), 0u);
 }
