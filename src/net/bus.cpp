@@ -125,13 +125,6 @@ std::size_t MessageBus::flush_shard_batches() {
       [this](AgentId to, Message&& msg) { deliver(to, std::move(msg)); });
 }
 
-std::size_t MessageBus::flush_shard_batches_from(std::size_t src_shard) {
-  if (router_ == nullptr) return 0;
-  return router_->flush_src(
-      src_shard,
-      [this](AgentId to, Message&& msg) { deliver(to, std::move(msg)); });
-}
-
 void MessageBus::send(AgentId to, Message msg) {
   {
     std::lock_guard slock(stats_mutex_);
