@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -20,7 +22,73 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
+// Build facts the baseline emitters stamp into their JSON (set for every
+// bench by bench/CMakeLists.txt).
+#ifndef PFDRL_BUILD_TYPE
+#define PFDRL_BUILD_TYPE "unknown"
+#endif
+#ifndef PFDRL_COMPILE_FLAGS
+#define PFDRL_COMPILE_FLAGS ""
+#endif
+#ifndef PFDRL_SOURCE_DIR
+#define PFDRL_SOURCE_DIR "."
+#endif
+
 namespace pfdrl::bench {
+
+/// First line of a shell command's stdout, trailing newline stripped;
+/// empty when the command fails.
+inline std::string command_line_out(const std::string& cmd) {
+  std::FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return {};
+  char buf[256] = {0};
+  std::string out;
+  if (std::fgets(buf, sizeof(buf), p) != nullptr) out = buf;
+  const int rc = pclose(p);
+  if (rc != 0) return {};
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+/// The `"host"` JSON object of a committed baseline: nproc, CPU model,
+/// build type and flags, and the git sha of the source tree ("-dirty"
+/// when it has uncommitted changes to tracked files). Call it before the
+/// run writes its output, so rewriting a tracked baseline file does not
+/// mark the tree dirty.
+inline std::string host_stamp_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t value = line.find_first_not_of(" \t:", 10);
+      if (value != std::string::npos) cpu_model = line.substr(value);
+      break;
+    }
+  }
+  const std::string git = std::string("git -C '") + PFDRL_SOURCE_DIR + "' ";
+  std::string sha = command_line_out(git + "rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (std::system((git + "diff --quiet HEAD -- 2>/dev/null").c_str()) !=
+             0) {
+    sha += "-dirty";
+  }
+  const auto quoted = [](const std::string& v) {
+    std::string out = "\"";
+    for (const char c : v) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  };
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": " + quoted(cpu_model) +
+         ", \"build_type\": " + quoted(PFDRL_BUILD_TYPE) +
+         ", \"flags\": " + quoted(PFDRL_COMPILE_FLAGS) +
+         ", \"git_sha\": " + quoted(sha) + "}";
+}
 
 /// Standard bench neighbourhood: 5 homes, seeded; `days` trace days.
 inline sim::Scenario bench_scenario(std::size_t days,

@@ -7,9 +7,9 @@
 // drain/aggregate — can, and that is what this bench measures. Each
 // point spins up N synthetic agents with P-double parameter slices and
 // runs R bulk-synchronous federation rounds: a util::sharded_for local
-// step, then one fl::ParamExchange::round (serial broadcast, parallel
-// drain and aggregate) per round — the schedule fl::run_rounds drives
-// real runs with.
+// step, then one fl::ParamExchange::round (parallel encode, serial
+// broadcast, parallel drain and aggregate) per round — the schedule
+// fl::run_rounds drives real runs with.
 //
 // Homes are cost-weighted (device count ramps 1..4 across the city) and
 // the shard plan is sim::ShardPlan::make_weighted by default, so
@@ -18,10 +18,12 @@
 //
 // The pool-worker sweep re-executes this binary once per requested
 // worker count with PFDRL_POOL_WORKERS set (the pool is sized once per
-// process), collecting each child's point lines into one JSON. Twin
-// identically seeded runs per point must agree bitwise, and the final
-// parameter hash must be identical across every pool worker count per
-// agent count — the engine determinism contract.
+// process), collecting each child's point lines into one JSON. Each
+// point runs kTimedReps identically seeded repetitions and reports the
+// median-time one (a single run of a few milliseconds swings by about
+// ±20% on a shared host). Every repetition must agree bitwise, and the
+// final parameter hash must be identical across every pool worker count
+// per agent count — the engine determinism contract.
 //
 // Writes a JSON summary (default BENCH_scale.json in the CWD; the
 // committed baseline at the repo root is produced by the default flags),
@@ -31,14 +33,13 @@
 // --pool-workers CSV, --topology NAME, --fanout N, --uniform-shards,
 // --no-wire-codec, --out PATH (and --emit PATH, the internal child
 // mode).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -69,68 +70,6 @@ struct SweepConfig {
   bool wire_codec = true;
 };
 
-#ifndef PFDRL_BUILD_TYPE
-#define PFDRL_BUILD_TYPE "unknown"
-#endif
-#ifndef PFDRL_COMPILE_FLAGS
-#define PFDRL_COMPILE_FLAGS ""
-#endif
-#ifndef PFDRL_SOURCE_DIR
-#define PFDRL_SOURCE_DIR "."
-#endif
-
-/// First line of a shell command's stdout, trailing newline stripped;
-/// empty when the command fails.
-std::string command_line_out(const std::string& cmd) {
-  std::FILE* p = popen(cmd.c_str(), "r");
-  if (p == nullptr) return {};
-  char buf[256] = {0};
-  std::string out;
-  if (std::fgets(buf, sizeof(buf), p) != nullptr) out = buf;
-  const int rc = pclose(p);
-  if (rc != 0) return {};
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out;
-}
-
-/// The `"host"` JSON object: nproc, CPU model, build type and flags, and
-/// the git sha of the source tree ("-dirty" when it has uncommitted
-/// changes to tracked files).
-std::string host_stamp_json() {
-  std::string cpu_model = "unknown";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t value = line.find_first_not_of(" \t:", 10);
-      if (value != std::string::npos) cpu_model = line.substr(value);
-      break;
-    }
-  }
-  const std::string git = std::string("git -C '") + PFDRL_SOURCE_DIR + "' ";
-  std::string sha = command_line_out(git + "rev-parse HEAD 2>/dev/null");
-  if (sha.empty()) {
-    sha = "unknown";
-  } else if (std::system((git + "diff --quiet HEAD -- 2>/dev/null").c_str()) !=
-             0) {
-    sha += "-dirty";
-  }
-  const auto quoted = [](const std::string& v) {
-    std::string out = "\"";
-    for (const char c : v) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
-  };
-  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"cpu_model\": " + quoted(cpu_model) +
-         ", \"build_type\": " + quoted(PFDRL_BUILD_TYPE) +
-         ", \"flags\": " + quoted(PFDRL_COMPILE_FLAGS) +
-         ", \"git_sha\": " + quoted(sha) + "}";
-}
-
 struct PointResult {
   std::size_t agents = 0;
   std::size_t shards = 0;
@@ -158,7 +97,7 @@ std::vector<std::size_t> home_weights(std::size_t agents) {
   return weights;
 }
 
-/// Everything one engine run needs, bundled so the twin runs construct
+/// Everything one engine run needs, bundled so the repetitions construct
 /// byte-identical inputs.
 struct EngineSetup {
   sim::ShardPlan plan;
@@ -245,10 +184,9 @@ struct EngineSetup {
 
 /// One engine run: per round, a sharded_for local step, then one
 /// exchange round.
-std::uint64_t run_engine(std::size_t agents, const SweepConfig& cfg,
-                         const sim::ShardPlan& plan,
-                         const std::vector<std::size_t>& weights,
-                         PointResult* out) {
+PointResult run_engine(std::size_t agents, const SweepConfig& cfg,
+                       const sim::ShardPlan& plan,
+                       const std::vector<std::size_t>& weights) {
   EngineSetup setup(agents, cfg, plan, weights);
 
   fl::ParamExchange::Options opts;
@@ -268,24 +206,36 @@ std::uint64_t run_engine(std::size_t agents, const SweepConfig& cfg,
   }
   const double seconds = watch.elapsed_seconds();
 
-  if (out != nullptr) {
-    setup.fill_common(cfg, seconds, out);
-    out->imbalance =
-        cfg.rounds > 0 ? imbalance_sum / static_cast<double>(cfg.rounds) : 1.0;
-  }
-  return bench::fnv1a_params(setup.params);
+  PointResult out;
+  setup.fill_common(cfg, seconds, &out);
+  out.imbalance =
+      cfg.rounds > 0 ? imbalance_sum / static_cast<double>(cfg.rounds) : 1.0;
+  out.hash = bench::fnv1a_params(setup.params);
+  return out;
 }
+
+/// Timed repetitions per point; the point reports the median-time one.
+constexpr std::size_t kTimedReps = 5;
 
 PointResult run_point(std::size_t agents, const SweepConfig& cfg) {
   const std::vector<std::size_t> weights = home_weights(agents);
   const sim::ShardPlan plan =
       cfg.weighted_shards ? sim::ShardPlan::make_weighted(weights, cfg.shards)
                           : sim::ShardPlan::make(agents, cfg.shards);
-  PointResult result;
-  const std::uint64_t first = run_engine(agents, cfg, plan, weights, &result);
-  const std::uint64_t twin = run_engine(agents, cfg, plan, weights, nullptr);
-  result.hash = first;
-  result.deterministic = first == twin;
+  std::vector<PointResult> reps;
+  for (std::size_t k = 0; k < kTimedReps; ++k) {
+    reps.push_back(run_engine(agents, cfg, plan, weights));
+  }
+  const bool deterministic =
+      std::all_of(reps.begin(), reps.end(), [&](const PointResult& p) {
+        return p.hash == reps.front().hash;
+      });
+  std::nth_element(reps.begin(), reps.begin() + kTimedReps / 2, reps.end(),
+                   [](const PointResult& a, const PointResult& b) {
+                     return a.seconds < b.seconds;
+                   });
+  PointResult result = reps[kTimedReps / 2];
+  result.deterministic = deterministic;
   return result;
 }
 
@@ -381,7 +331,8 @@ int run_child(const std::vector<std::size_t>& agent_counts,
   }
   std::fclose(f);
   if (!all_deterministic) {
-    std::fprintf(stderr, "FATAL: twin identically seeded runs diverged\n");
+    std::fprintf(stderr,
+                 "FATAL: identically seeded repetitions diverged\n");
     return 1;
   }
   return 0;
@@ -445,7 +396,7 @@ int main(int argc, char** argv) {
   }
   // Stamped before the run writes anything, so rewriting a tracked
   // baseline file does not mark the tree dirty.
-  const std::string host = host_stamp_json();
+  const std::string host = bench::host_stamp_json();
 
   bench::print_figure_header(
       "Sharded federation engine scale sweep (perf baseline)",

@@ -17,7 +17,9 @@
 // contract.
 //
 // Writes a JSON summary (default BENCH_wire.json in the CWD; the committed
-// baseline at the repo root is produced by the default flags).
+// baseline at the repo root is produced by the default flags), stamped
+// with the host (nproc, CPU model) and build (type, flags, git sha) that
+// produced it.
 // Flags: --rounds R, --reps N, --out PATH.
 #include <cinttypes>
 #include <cmath>
@@ -168,6 +170,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Stamped before the run writes anything, so rewriting a tracked
+  // baseline file does not mark the tree dirty.
+  const std::string host = bench::host_stamp_json();
+
   bench::print_figure_header(
       "Wire-codec compression + throughput (docs/wire.md)",
       "federated rounds resend nearly identical fp64 vectors — XOR delta "
@@ -218,11 +224,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"wire_throughput\",\n"
+               "  \"host\": %s,\n"
                "  \"rounds\": %zu,\n"
                "  \"reps\": %zu,\n"
                "  \"deterministic\": %s,\n"
                "  \"shapes\": [\n",
-               rounds, reps, deterministic ? "true" : "false");
+               host.c_str(), rounds, reps, deterministic ? "true" : "false");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& r = results[i];
     std::fprintf(f,

@@ -1,9 +1,37 @@
 #include "fl/aggregate.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace pfdrl::fl {
+
+namespace {
+
+// out[i] = (0.0 + in_0[i] + in_1[i] + ...) * inv for i < len, summed in
+// input order per element. Blocked so each input streams through a
+// cache-resident accumulator block with a contiguous, vectorizable inner
+// loop; per element it is the same chain of adds as the naive
+// element-outer loop, so the result is bitwise identical (no FMA
+// contraction in this build). A block's outputs are written only after
+// every input's block was read, so `out` may alias any input.
+void average_prefix(std::span<const std::span<const double>> inputs,
+                    std::size_t len, double* out) {
+  constexpr std::size_t kBlock = 256;
+  const double inv = 1.0 / static_cast<double>(inputs.size());
+  double acc[kBlock];
+  for (std::size_t base = 0; base < len; base += kBlock) {
+    const std::size_t m = std::min(kBlock, len - base);
+    for (std::size_t j = 0; j < m; ++j) acc[j] = 0.0;
+    for (const auto& in : inputs) {
+      const double* src = in.data() + base;
+      for (std::size_t j = 0; j < m; ++j) acc[j] += src[j];
+    }
+    for (std::size_t j = 0; j < m; ++j) out[base + j] = acc[j] * inv;
+  }
+}
+
+}  // namespace
 
 void fedavg(std::span<const std::span<const double>> inputs,
             std::span<double> out) {
@@ -12,12 +40,7 @@ void fedavg(std::span<const std::span<const double>> inputs,
   for (const auto& in : inputs) {
     if (in.size() != n) throw std::invalid_argument("fedavg: size mismatch");
   }
-  const double inv = 1.0 / static_cast<double>(inputs.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    for (const auto& in : inputs) sum += in[i];
-    out[i] = sum * inv;
-  }
+  average_prefix(inputs, n, out.data());
 }
 
 void fedavg_weighted(std::span<const std::span<const double>> inputs,
@@ -60,12 +83,7 @@ void fedavg_prefix(std::span<const std::span<const double>> inputs,
       throw std::invalid_argument("fedavg_prefix: input shorter than prefix");
     }
   }
-  const double inv = 1.0 / static_cast<double>(inputs.size());
-  for (std::size_t i = 0; i < prefix_len; ++i) {
-    double sum = 0.0;
-    for (const auto& in : inputs) sum += in[i];
-    out[i] = sum * inv;
-  }
+  average_prefix(inputs, prefix_len, out.data());
 }
 
 }  // namespace pfdrl::fl

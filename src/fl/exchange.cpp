@@ -57,7 +57,14 @@ ParamExchange::ParamExchange(net::MessageBus& bus, Options options,
     members.erase(std::unique(members.begin(), members.end()), members.end());
   }
 
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (i == 0 || items_[i].agent != items_[i - 1].agent) {
+      agent_begin_.push_back(i);
+    }
+  }
+  agent_begin_.push_back(items_.size());
   sent_.resize(items_.size());
+  outbox_.resize(items_.size());
   live_.assign(items_.size(), 1);
   inboxes_.resize(bus_.num_agents());
   if (options_.metrics != nullptr) {
@@ -87,15 +94,16 @@ ParamExchange::Mark ParamExchange::mark() const {
   return {tally_, bus_.stats(), net::Payload::allocations()};
 }
 
-// Phase 1: a live item broadcasts its shared slice as one refcounted
-// payload; the bus fans out handles, not copies. Crashed residences skip
-// the round (no broadcast, no drain — their inbox backlog is discarded as
-// stale after restart). Stragglers start late: their compute delay seeds
-// Message::arrival_s, so with a deadline their contributions tend to miss
-// the cut at every receiver. The (possibly masked) payload doubles as the
-// sender's own contribution in phase 3 — pairwise masks only cancel if
-// every group member contributes the masked form.
-void ParamExchange::broadcast_item(std::size_t i, std::uint64_t round_id) {
+// Phase 1: a live item builds its outgoing message — its shared slice as
+// one refcounted payload; the bus fans out handles, not copies. Crashed
+// residences skip the round (no broadcast, no drain — their inbox backlog
+// is discarded as stale after restart). Stragglers start late: their
+// compute delay seeds Message::arrival_s, so with a deadline their
+// contributions tend to miss the cut at every receiver. The (possibly
+// masked) payload doubles as the sender's own contribution in phase 3 —
+// pairwise masks only cancel if every group member contributes the masked
+// form.
+void ParamExchange::prepare_item(std::size_t i, std::uint64_t round_id) {
   const ExchangeItem& item = items_[i];
   const ExchangePolicy& policy = options_.policy;
   if (policy.failures.crashed(item.agent, round_id)) {
@@ -116,14 +124,27 @@ void ParamExchange::broadcast_item(std::size_t i, std::uint64_t round_id) {
   } else {
     sent_[i] = std::vector<double>(item.send.begin(), item.send.end());
   }
-  net::Message msg;
+  net::Message& msg = outbox_[i];
+  msg = net::Message{};
   msg.sender = item.agent;
   msg.kind = options_.kind;
   msg.device_type = item.device_type;
   msg.round = round_id;
   msg.arrival_s = policy.failures.compute_delay(item.agent);
   msg.payload = sent_[i];
-  bus_.broadcast(msg);
+}
+
+// Encode the live messages of agent groups [lo, hi) as one codec batch.
+// The codec keys its streams by sender, so disjoint agent ranges never
+// share a stream and may encode concurrently; within the range messages
+// encode in item order.
+void ParamExchange::encode_agents(std::size_t lo, std::size_t hi) {
+  thread_local std::vector<net::Message*> batch;
+  batch.clear();
+  for (std::size_t i = agent_begin_[lo]; i < agent_begin_[hi]; ++i) {
+    if (live_[i]) batch.push_back(&outbox_[i]);
+  }
+  bus_.codec()->encode(batch);
 }
 
 // Star topology: the hub relays leaf messages to the other leaves and
@@ -301,9 +322,9 @@ ExchangeStats ParamExchange::round(std::uint64_t round_id,
   const Mark before = mark();
   // Broadcast runs in item order: a star hub relays leaves in that order
   // and stochastic fault plans draw the per-bus stream in delivery
-  // order. Inboxes and items are independent after it, and every tally
-  // is an order-independent sum, so the drain and aggregate fan-out
-  // changes no result.
+  // order. Encoding before it is per stream, inboxes and items are
+  // independent after it, and every tally is an order-independent sum,
+  // so the encode, drain and aggregate fan-outs change no result.
   const bool sharded = bus_.shard_router() != nullptr;
   const auto fan_out = [&](std::size_t n,
                            const std::function<void(std::size_t)>& body) {
@@ -313,8 +334,24 @@ ExchangeStats ParamExchange::round(std::uint64_t round_id,
       for (std::size_t k = 0; k < n; ++k) body(k);
     }
   };
+  // Build every message first (crash resets and masks in item order),
+  // then encode them in contiguous agent ranges, so the serial broadcast
+  // below only fans out frames that are already coded —
+  // MessageBus::broadcast skips the encode of a message with coded_bytes
+  // set.
+  for (std::size_t i = 0; i < items_.size(); ++i) prepare_item(i, round_id);
+  if (bus_.codec() != nullptr) {
+    const std::size_t groups = agent_begin_.size() - 1;
+    if (sharded) {
+      util::ThreadPool::global().parallel_for_chunked(
+          0, groups,
+          [&](std::size_t lo, std::size_t hi) { encode_agents(lo, hi); });
+    } else {
+      encode_agents(0, groups);
+    }
+  }
   for (std::size_t i = 0; i < items_.size(); ++i) {
-    broadcast_item(i, round_id);
+    if (live_[i]) bus_.broadcast(outbox_[i]);
   }
   // Hand parked cross-shard traffic over to the inboxes as one batch per
   // shard pair, in pinned (src, dst) order. No-op without an attached
@@ -324,6 +361,7 @@ ExchangeStats ParamExchange::round(std::uint64_t round_id,
   fan_out(bus_.num_agents(), [&](std::size_t a) { drain_agent(a, round_id); });
   fan_out(items_.size(), [&](std::size_t i) { aggregate_item(i, commit); });
   for (auto& inbox : inboxes_) inbox.clear();
+  for (auto& msg : outbox_) msg.payload = {};
   return record_metrics(before);
 }
 

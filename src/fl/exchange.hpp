@@ -12,15 +12,17 @@
 // the exchange round as a primitive, and so do we).
 //
 // A ParamExchange is a session over a fixed item set on one bus. It holds
-// exactly one implementation of each phase — broadcast an item, drain an
-// agent's inbox, aggregate an item, fold the metrics — and round(r) runs
-// them at one barrier: broadcast every item and hand the cross-shard
-// batches over, run the star hub relay/retry stage, then drain every
-// agent and aggregate every item. The broadcast always runs in item
-// order; with a shard router on the bus the drain and aggregate steps
-// fan out on the global pool, per agent and per item. Every item
-// averages the same sorted contribution set either way, so the fan-out
-// changes no bits.
+// exactly one implementation of each phase — build an item's message,
+// encode a range of agents' messages, drain an agent's inbox, aggregate
+// an item, fold the metrics — and round(r) runs them at one barrier:
+// build every item's message, encode them on the bus's wire codec,
+// broadcast every item and hand the cross-shard batches over, run the
+// star hub relay/retry stage, then drain every agent and aggregate every
+// item. The broadcast always runs in item order; with a shard router on
+// the bus the encode, drain and aggregate steps fan out on the global
+// pool, per agent range, agent and item. Encoding is per sender stream,
+// and every item averages the same sorted contribution set either way,
+// so the fan-out changes no bits.
 //
 // Zero-copy: outgoing slices become one net::Payload allocation each; the
 // bus fans out refcounted handles, so a full-mesh broadcast is O(1)
@@ -204,7 +206,8 @@ class ParamExchange {
   /// Fold the exchange.* / fault.* deltas since `before` and return the
   /// round's stats.
   ExchangeStats record_metrics(const Mark& before);
-  void broadcast_item(std::size_t i, std::uint64_t round_id);
+  void prepare_item(std::size_t i, std::uint64_t round_id);
+  void encode_agents(std::size_t lo, std::size_t hi);
   void relay_via_hub(std::uint64_t round_id);
   void drain_agent(std::size_t a, std::uint64_t round_id);
   void aggregate_item(std::size_t i, const CommitFn& commit);
@@ -221,6 +224,13 @@ class ParamExchange {
   /// Per-item send slots: the (possibly masked) payload each live item
   /// broadcast this round, which is also its own contribution.
   std::vector<net::Payload> sent_;
+  /// Per-item outgoing message of the current round, encoded before the
+  /// broadcast; its payload handle is released when the round ends.
+  std::vector<net::Message> outbox_;
+  /// Item ranges per distinct agent: agent group g owns items
+  /// [agent_begin_[g], agent_begin_[g + 1]). The encode fan-out splits
+  /// the groups, never an agent's items.
+  std::vector<std::size_t> agent_begin_;
   std::vector<char> live_;
   /// Drained, filtered and sorted inboxes, indexed by agent; cleared once
   /// their items aggregated so the round's payload handles are released.

@@ -109,27 +109,67 @@ void WireCodec::decode_frame(std::span<const std::uint8_t> frame,
         throw std::runtime_error("codec: truncated nibble table");
       }
       const std::uint8_t* nibbles = body.data();
+      // Validate the whole nibble table before decoding anything: every
+      // count is <= 8, the padding nibble is zero, and the counts sum to
+      // exactly the bytes that follow the table. After this the decode
+      // loops below need no bounds checks.
+      std::size_t total = 0;
+      unsigned bad = 0;
+      for (std::size_t b = 0; b < nibble_bytes; ++b) {
+        const unsigned lo = nibbles[b] & 0xFu;
+        const unsigned hi = nibbles[b] >> 4u;
+        bad |= static_cast<unsigned>(lo > 8u) | static_cast<unsigned>(hi > 8u);
+        total += lo + hi;
+      }
+      if (bad != 0) {
+        throw std::runtime_error("codec: bad significant-byte count");
+      }
+      if ((count & 1u) != 0 && (nibbles[count >> 1] >> 4u) != 0) {
+        throw std::runtime_error("codec: nonzero nibble padding");
+      }
+      const std::size_t data_bytes = body.size() - nibble_bytes;
+      if (total > data_bytes) {
+        throw std::runtime_error("codec: truncated packed frame");
+      }
+      if (total < data_bytes) {
+        throw std::runtime_error("codec: trailing bytes in packed frame");
+      }
+      // Word-at-a-time: while a full 8-byte load stays inside the frame,
+      // load a word and mask it to the value's `sig` low bytes; the last
+      // few values take the bytewise path so nothing reads past the end.
+      // Masking the low bytes keeps the first `sig` bytes in memory only
+      // on a little-endian host, the byte order the format is defined in.
+      static_assert(std::endian::native == std::endian::little);
+      static constexpr std::uint64_t kSigMask[9] = {
+          0x0ULL,
+          0xFFULL,
+          0xFFFFULL,
+          0xFFFFFFULL,
+          0xFFFFFFFFULL,
+          0xFFFFFFFFFFULL,
+          0xFFFFFFFFFFFFULL,
+          0xFFFFFFFFFFFFFFULL,
+          0xFFFFFFFFFFFFFFFFULL};
       const std::uint8_t* cursor = nibbles + nibble_bytes;
       const std::uint8_t* const end = body.data() + body.size();
-      for (std::size_t i = 0; i < count; ++i) {
+      double* dst = out.data();
+      std::size_t i = 0;
+      for (; i < count && end - cursor >= 8; ++i) {
         const unsigned sig = (nibbles[i >> 1] >> ((i & 1u) * 4u)) & 0xFu;
-        if (sig > sizeof(std::uint64_t)) {
-          throw std::runtime_error("codec: bad significant-byte count");
-        }
-        if (static_cast<std::size_t>(end - cursor) < sig) {
-          throw std::runtime_error("codec: truncated packed frame");
-        }
+        std::uint64_t x;
+        std::memcpy(&x, cursor, sizeof(x));
+        x &= kSigMask[sig];
+        cursor += sig;
+        const std::uint64_t p = have_prev ? bits_of(prev[i]) : std::uint64_t{0};
+        dst[i] = double_of(x ^ p);
+      }
+      for (; i < count; ++i) {
+        const unsigned sig = (nibbles[i >> 1] >> ((i & 1u) * 4u)) & 0xFu;
         std::uint64_t x = 0;
         std::memcpy(&x, cursor, sig);
         cursor += sig;
         const std::uint64_t p = have_prev ? bits_of(prev[i]) : std::uint64_t{0};
-        out[i] = double_of(x ^ p);
-      }
-      if (cursor != end) {
-        throw std::runtime_error("codec: trailing bytes in packed frame");
-      }
-      if ((count & 1u) != 0 && (nibbles[count >> 1] >> 4u) != 0) {
-        throw std::runtime_error("codec: nonzero nibble padding");
+        dst[i] = double_of(x ^ p);
       }
       return;
     }
@@ -189,25 +229,53 @@ std::size_t WireCodec::encode_quant(Stream& stream,
 }
 
 void WireCodec::encode(Message& msg) {
-  if (msg.coded_bytes != 0) return;  // relays/duplicates keep their frame
+  Message* const one = &msg;
+  encode(std::span<Message* const>(&one, 1));
+}
+
+void WireCodec::encode(std::span<Message* const> msgs) {
+  // Resolve every stream under one lock; std::map nodes never move, so
+  // the pointers stay valid while other threads insert. Already-coded
+  // messages (relays, duplicates) keep their frame and get no stream.
+  thread_local std::vector<Stream*> streams;
+  streams.assign(msgs.size(), nullptr);
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t k = 0; k < msgs.size(); ++k) {
+      const Message& m = *msgs[k];
+      if (m.coded_bytes != 0) continue;
+      streams[k] = &streams_[Key{m.sender, static_cast<std::uint8_t>(m.kind),
+                                 m.device_type}];
+    }
+  }
+  CodecStats delta;
+  for (std::size_t k = 0; k < msgs.size(); ++k) {
+    if (streams[k] != nullptr) encode_on(*streams[k], *msgs[k], delta);
+  }
   std::lock_guard lock(mutex_);
-  Stream& stream = streams_[Key{msg.sender,
-                                static_cast<std::uint8_t>(msg.kind),
-                                msg.device_type}];
+  stats_ += delta;
+}
+
+void WireCodec::encode_on(Stream& stream, Message& msg, CodecStats& stats) {
+  // Per-thread scratch: concurrent encoders on distinct streams never
+  // share a buffer, and a thread's buffers keep their capacity, so a
+  // steady-state encode allocates nothing here.
+  thread_local std::vector<std::uint8_t> frame;
+  thread_local std::vector<double> verify;
   const std::size_t n = msg.payload.size();
   std::size_t coded = 0;
   if (options_.quantize) {
     const std::span<const double> in = msg.payload.span();
     std::vector<double> delivered(in.begin(), in.end());
     const std::uint64_t t0 = now_ns();
-    coded = encode_quant(stream, delivered, frame_);
+    coded = encode_quant(stream, delivered, frame);
     const std::uint64_t t1 = now_ns();
-    stats_.encode_ns += t1 - t0;
-    decode_frame(std::span<const std::uint8_t>(frame_.data(), coded), {}, n,
-                 verify_);
-    stats_.decode_ns += now_ns() - t1;
-    if (verify_.size() != delivered.size() ||
-        (n > 0 && std::memcmp(verify_.data(), delivered.data(),
+    stats.encode_ns += t1 - t0;
+    decode_frame(std::span<const std::uint8_t>(frame.data(), coded), {}, n,
+                 verify);
+    stats.decode_ns += now_ns() - t1;
+    if (verify.size() != delivered.size() ||
+        (n > 0 && std::memcmp(verify.data(), delivered.data(),
                               n * sizeof(double)) != 0)) {
       throw std::logic_error("codec: quant frame round-trip mismatch");
     }
@@ -215,29 +283,29 @@ void WireCodec::encode(Message& msg) {
   } else {
     const std::span<const double> values = msg.payload.span();
     const std::uint64_t t0 = now_ns();
-    coded = encode_frame(values, stream.prev, frame_);
+    coded = encode_frame(values, stream.prev, frame);
     const std::uint64_t t1 = now_ns();
-    stats_.encode_ns += t1 - t0;
+    stats.encode_ns += t1 - t0;
     // Verify-on-encode: the decoder runs against the same previous frame
     // the encoder delta'd against, on every message of every run.
-    decode_frame(std::span<const std::uint8_t>(frame_.data(), coded),
-                 stream.prev, n, verify_);
-    stats_.decode_ns += now_ns() - t1;
-    if (verify_.size() != n ||
+    decode_frame(std::span<const std::uint8_t>(frame.data(), coded),
+                 stream.prev, n, verify);
+    stats.decode_ns += now_ns() - t1;
+    if (verify.size() != n ||
         (n > 0 &&
-         std::memcmp(verify_.data(), values.data(), n * sizeof(double)) != 0)) {
+         std::memcmp(verify.data(), values.data(), n * sizeof(double)) != 0)) {
       throw std::logic_error("codec: lossless round-trip mismatch");
     }
-    if (frame_[0] != kRepeat) {
+    if (frame[0] != kRepeat) {
       stream.prev.assign(values.begin(), values.end());
     }
   }
   msg.coded_bytes = coded;
-  ++stats_.frames;
-  if (!frame_.empty() && frame_[0] == kRepeat) ++stats_.repeat_frames;
-  if (!frame_.empty() && frame_[0] == kRaw) ++stats_.raw_escapes;
-  stats_.raw_bytes += n * sizeof(double);
-  stats_.coded_bytes += coded;
+  ++stats.frames;
+  if (frame[0] == kRepeat) ++stats.repeat_frames;
+  if (frame[0] == kRaw) ++stats.raw_escapes;
+  stats.raw_bytes += n * sizeof(double);
+  stats.coded_bytes += coded;
 }
 
 void WireCodec::reset_agent(AgentId sender) {

@@ -27,6 +27,14 @@
 // exercised on every message of every run, not just in tests. See
 // docs/wire.md for the stream-state contract a multi-process deployment
 // must add (per-receiver mirrors, keyframe on resync).
+//
+// Concurrency: encodes on *distinct* streams may run concurrently. The
+// codec mutex guards only the stream-map lookup and the stats fold (once
+// per encode call, so a batch pays them once); the frame and verify
+// scratch is per thread. At most one encoder may run
+// per stream at a time, and reset_agent/reset_streams/restore_streams
+// must not overlap an encode of a stream they drop — fl::ParamExchange
+// encodes one task per sender, after the round's crash resets.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +66,22 @@ struct CodecStats {
   std::uint64_t raw_bytes = 0;
   /// Frame bytes after coding.
   std::uint64_t coded_bytes = 0;
-  /// Wall nanoseconds spent encoding (packing only, verify excluded).
+  /// Wall nanoseconds spent encoding (packing only, verify excluded),
+  /// summed over every encoding thread — CPU time, not elapsed time.
   std::uint64_t encode_ns = 0;
-  /// Wall nanoseconds spent in the verify decodes.
+  /// Wall nanoseconds spent in the verify decodes, summed the same way.
   std::uint64_t decode_ns = 0;
+
+  CodecStats& operator+=(const CodecStats& o) noexcept {
+    frames += o.frames;
+    repeat_frames += o.repeat_frames;
+    raw_escapes += o.raw_escapes;
+    raw_bytes += o.raw_bytes;
+    coded_bytes += o.coded_bytes;
+    encode_ns += o.encode_ns;
+    decode_ns += o.decode_ns;
+    return *this;
+  }
 
   /// Compression ratio raw/coded; 1.0 before any frame.
   [[nodiscard]] double ratio() const noexcept {
@@ -99,8 +119,13 @@ class WireCodec {
   /// quantize mode the payload is replaced with the dequantized values
   /// every receiver observes. No-op if the message is already coded
   /// (relays and duplicates keep the original frame size). Verifies the
-  /// frame round-trips bitwise; throws std::logic_error if not.
+  /// frame round-trips bitwise; throws std::logic_error if not. Safe to
+  /// call concurrently for messages on distinct streams.
   void encode(Message& msg);
+  /// encode() over a batch, in order: one stream-lookup pass and one
+  /// stats fold per call, so concurrent batches on disjoint streams meet
+  /// on the codec mutex twice per batch instead of twice per message.
+  void encode(std::span<Message* const> msgs);
 
   /// Drop every stream owned by `sender` — called when the residence
   /// crashes or warm-restarts, because its receivers' mirrors are stale;
@@ -131,7 +156,8 @@ class WireCodec {
   /// Decode a frame produced by encode_frame back into `count` doubles.
   /// `prev` must be the same previous-frame contents the encoder saw.
   /// Throws std::runtime_error on truncated, trailing-garbage or
-  /// malformed input; never reads out of bounds.
+  /// malformed input; never reads out of bounds. A packed frame's nibble
+  /// table is validated whole before any value is decoded.
   static void decode_frame(std::span<const std::uint8_t> frame,
                            std::span<const double> prev, std::size_t count,
                            std::vector<double>& out);
@@ -149,6 +175,9 @@ class WireCodec {
   };
   using Key = std::tuple<std::uint64_t, std::uint8_t, std::uint32_t>;
 
+  /// Encode one uncoded message on `stream` into the calling thread's
+  /// scratch, verify it, stamp msg.coded_bytes and add to `stats`.
+  void encode_on(Stream& stream, Message& msg, CodecStats& stats);
   /// Quantize `values` (plus carried error) into the stream's int8 frame
   /// and overwrite `values` with the dequantized result. Returns the
   /// frame size. Updates stream.err.
@@ -156,11 +185,11 @@ class WireCodec {
                            std::vector<std::uint8_t>& out);
 
   CodecOptions options_;
+  /// Guards streams_' shape (lookup/insert/erase) and stats_; a Stream's
+  /// contents belong to the one encoder running on it.
   mutable std::mutex mutex_;
-  std::map<Key, Stream> streams_;
+  std::map<Key, Stream> streams_;  // node-based: a Stream never moves
   CodecStats stats_;
-  std::vector<std::uint8_t> frame_;
-  std::vector<double> verify_;
 };
 
 }  // namespace pfdrl::net

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "forecast/forecaster.hpp"
@@ -212,6 +216,107 @@ TEST(FedAvg, LrModelAveragingEqualsPredictionAveraging) {
       continue;
     }
     ASSERT_NEAR(ec, (ea + eb) / 2, 1e-9);
+  }
+}
+
+// The naive element-outer loop fedavg/fedavg_prefix used to run: per
+// element, 0.0 plus every input in input order, times 1/K.
+void naive_average(const std::vector<std::vector<double>>& inputs,
+                   std::size_t len, std::vector<double>& out) {
+  const double inv = 1.0 / static_cast<double>(inputs.size());
+  for (std::size_t i = 0; i < len; ++i) {
+    double sum = 0.0;
+    for (const auto& in : inputs) sum += in[i];
+    out[i] = sum * inv;
+  }
+}
+
+// Inputs whose sums round differently under any reordering: magnitudes
+// spread over 30 decades, signed zeros (0.0 + -0.0 is +0.0) and exact
+// cancellations.
+std::vector<std::vector<double>> blocked_inputs(std::size_t k, std::size_t n,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> inputs(k, std::vector<double>(n));
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = rng.normal() * std::pow(10.0, rng.uniform(-15.0, 15.0));
+      if ((i + j) % 7 == 0) v = -0.0;
+      if (j > 0 && (i + j) % 11 == 0) v = -inputs[j - 1][i];
+      inputs[j][i] = v;
+    }
+  }
+  return inputs;
+}
+
+void expect_bitwise_prefix(const std::vector<double>& got,
+                           const std::vector<double>& want, std::size_t len,
+                           const std::string& what) {
+  ASSERT_GE(got.size(), len) << what;
+  ASSERT_GE(want.size(), len) << what;
+  if (len == 0) return;  // memcmp needs non-null pointers
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), len * sizeof(double)))
+      << what;
+}
+
+TEST(FedAvg, BlockedMatchesNaiveLoopBitwise) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  sizes.push_back(2817);  // a BP forecaster's parameter count
+  for (const std::size_t k : {1u, 2u, 31u, 32u, 33u}) {
+    for (const std::size_t n : sizes) {
+      const std::string what =
+          "k=" + std::to_string(k) + " n=" + std::to_string(n);
+      const auto inputs = blocked_inputs(k, n, 1000 * k + n);
+      std::vector<std::span<const double>> views(inputs.begin(), inputs.end());
+      std::vector<double> want(n);
+      naive_average(inputs, n, want);
+
+      std::vector<double> got(n, 7.0);
+      fedavg(views, got);
+      expect_bitwise_prefix(got, want, n, what + " fedavg");
+
+      std::vector<double> prefix_out(n, 7.0);
+      fedavg_prefix(views, n, prefix_out);
+      expect_bitwise_prefix(prefix_out, want, n, what + " fedavg_prefix");
+
+      // out aliasing inputs[0]: each block is read whole before written.
+      auto aliased = inputs;
+      std::vector<std::span<const double>> alias_views(aliased.begin(),
+                                                       aliased.end());
+      fedavg(alias_views, aliased[0]);
+      expect_bitwise_prefix(aliased[0], want, n, what + " fedavg aliased");
+      aliased = inputs;
+      std::vector<std::span<const double>> prefix_alias_views(aliased.begin(),
+                                                              aliased.end());
+      fedavg_prefix(prefix_alias_views, n, aliased[0]);
+      expect_bitwise_prefix(aliased[0], want, n,
+                            what + " fedavg_prefix aliased");
+      // ... and the last input, read after every other one.
+      aliased = inputs;
+      std::vector<std::span<const double>> last_alias_views(aliased.begin(),
+                                                            aliased.end());
+      fedavg(last_alias_views, aliased.back());
+      expect_bitwise_prefix(aliased.back(), want, n,
+                            what + " fedavg aliased last");
+
+      // A prefix shorter than the inputs: only [0, len) is averaged, the
+      // output suffix is untouched.
+      const std::size_t len = n / 2;
+      std::vector<double> short_want(n, 7.0);
+      naive_average(inputs, len, short_want);
+      std::vector<double> short_got(n, 7.0);
+      fedavg_prefix(views, len, short_got);
+      expect_bitwise_prefix(short_got, short_want, n, what + " short prefix");
+      auto short_alias = inputs;
+      std::vector<std::span<const double>> short_alias_views(
+          short_alias.begin(), short_alias.end());
+      std::vector<double> short_alias_want = inputs[0];
+      naive_average(inputs, len, short_alias_want);
+      fedavg_prefix(short_alias_views, len, short_alias[0]);
+      expect_bitwise_prefix(short_alias[0], short_alias_want, n,
+                            what + " short prefix aliased");
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 // net::WireCodec — lossless delta-frame roundtrips over adversarial fp64
 // contents, hardened-decoder negatives (truncation / bit flips, in the
 // util::records style: corrupt input must throw, never crash or read out
-// of bounds), stream-state semantics (keyframes, repeats, reset_agent,
-// capture/restore), and the quantize mode's twin-run determinism.
+// of bounds), the word-at-a-time packed decoder against a bytewise
+// reference, stream-state semantics (keyframes, repeats, reset_agent,
+// capture/restore), concurrent encodes on distinct streams, and the
+// quantize mode's twin-run determinism.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "net/codec.hpp"
 #include "net/message.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -26,6 +30,7 @@ using pfdrl::net::WireCodec;
 void expect_bitwise(const std::vector<double>& got,
                     const std::vector<double>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  if (want.empty()) return;  // memcmp needs non-null pointers
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                            want.size() * sizeof(double)))
       << what;
@@ -188,6 +193,167 @@ TEST(NetCodec, DecoderSurvivesBitFlips) {
   EXPECT_GT(throws, 0u);
 }
 
+// Reference copy of the bytewise kPacked decoder the word-at-a-time one
+// replaced: per value, bounds-check, then copy exactly `sig` bytes.
+void reference_decode_packed(std::span<const std::uint8_t> frame,
+                             std::span<const double> prev, std::size_t count,
+                             std::vector<double>& out) {
+  if (frame.empty() || frame[0] != WireCodec::kPacked) {
+    throw std::runtime_error("reference: not a packed frame");
+  }
+  const bool have_prev = prev.size() == count && count > 0;
+  const std::span<const std::uint8_t> body = frame.subspan(1);
+  out.resize(count);
+  const std::size_t nibble_bytes = (count + 1) / 2;
+  if (body.size() < nibble_bytes) {
+    throw std::runtime_error("reference: truncated nibble table");
+  }
+  const std::uint8_t* nibbles = body.data();
+  const std::uint8_t* cursor = nibbles + nibble_bytes;
+  const std::uint8_t* const end = body.data() + body.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned sig = (nibbles[i >> 1] >> ((i & 1u) * 4u)) & 0xFu;
+    if (sig > sizeof(std::uint64_t)) {
+      throw std::runtime_error("reference: bad significant-byte count");
+    }
+    if (static_cast<std::size_t>(end - cursor) < sig) {
+      throw std::runtime_error("reference: truncated packed frame");
+    }
+    std::uint64_t x = 0;
+    std::memcpy(&x, cursor, sig);
+    cursor += sig;
+    std::uint64_t p = 0;
+    if (have_prev) std::memcpy(&p, &prev[i], sizeof(p));
+    const std::uint64_t bits = x ^ p;
+    std::memcpy(&out[i], &bits, sizeof(bits));
+  }
+  if (cursor != end) {
+    throw std::runtime_error("reference: trailing bytes in packed frame");
+  }
+  if ((count & 1u) != 0 && (nibbles[count >> 1] >> 4u) != 0) {
+    throw std::runtime_error("reference: nonzero nibble padding");
+  }
+}
+
+/// A hand-built kPacked frame: nibble table of `sigs`, then `sig` random
+/// bytes per value.
+std::vector<std::uint8_t> packed_frame(const std::vector<unsigned>& sigs,
+                                       pfdrl::util::Rng& rng) {
+  const std::size_t count = sigs.size();
+  std::vector<std::uint8_t> frame(1 + (count + 1) / 2, 0);
+  frame[0] = WireCodec::kPacked;
+  for (std::size_t i = 0; i < count; ++i) {
+    frame[1 + i / 2] |= static_cast<std::uint8_t>(sigs[i] << ((i & 1u) * 4u));
+  }
+  for (const unsigned sig : sigs) {
+    for (unsigned b = 0; b < sig; ++b) {
+      frame.push_back(static_cast<std::uint8_t>(rng.next() & 0xFFu));
+    }
+  }
+  return frame;
+}
+
+/// Significant-byte patterns for `count` values: uniform 0..8, all 8s,
+/// all 0s, and random bodies whose last 9 values (where the decoder
+/// leaves its word-at-a-time loop) are 8s, 0s, or alternate 0/8.
+std::vector<std::vector<unsigned>> sig_patterns(std::size_t count,
+                                                pfdrl::util::Rng& rng) {
+  std::vector<std::vector<unsigned>> out;
+  const auto random_sigs = [&] {
+    std::vector<unsigned> sigs(count);
+    for (unsigned& s : sigs) s = static_cast<unsigned>(rng.next() % 9);
+    return sigs;
+  };
+  out.push_back(random_sigs());
+  out.emplace_back(count, 8u);
+  out.emplace_back(count, 0u);
+  for (int tail = 0; tail < 3; ++tail) {
+    std::vector<unsigned> sigs = random_sigs();
+    for (std::size_t k = 0; k < std::min<std::size_t>(9, count); ++k) {
+      const std::size_t i = count - 1 - k;
+      sigs[i] = tail == 0 ? 8u : tail == 1 ? 0u : (k % 2 == 0 ? 8u : 0u);
+    }
+    out.push_back(std::move(sigs));
+  }
+  return out;
+}
+
+std::vector<std::size_t> decoder_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 40; ++n) counts.push_back(n);
+  counts.push_back(2817);  // a BP forecaster's parameter count
+  return counts;
+}
+
+TEST(NetCodec, PackedDecoderMatchesBytewiseReference) {
+  pfdrl::util::Rng rng(20261020);
+  for (const std::size_t count : decoder_counts()) {
+    std::vector<double> prev(count);
+    for (double& v : prev) v = rng.uniform(-2.0, 2.0);
+    for (const auto& sigs : sig_patterns(count, rng)) {
+      const std::vector<std::uint8_t> frame = packed_frame(sigs, rng);
+      // With and without delta state (keyframe: XOR against zero bits).
+      for (const bool keyframe : {false, true}) {
+        const std::span<const double> p =
+            keyframe ? std::span<const double>() : std::span(prev);
+        std::vector<double> want;
+        std::vector<double> got;
+        reference_decode_packed(frame, p, count, want);
+        WireCodec::decode_frame(frame, p, count, got);
+        expect_bitwise(got, want,
+                       ("count=" + std::to_string(count)).c_str());
+      }
+    }
+  }
+}
+
+TEST(NetCodec, PackedDecoderRejectsEveryMalformedVariant) {
+  pfdrl::util::Rng rng(20261021);
+  std::vector<double> decoded;
+  for (const std::size_t count : decoder_counts()) {
+    const std::vector<double> prev(count, 0.5);
+    for (const auto& sigs : sig_patterns(count, rng)) {
+      const std::vector<std::uint8_t> frame = packed_frame(sigs, rng);
+      const std::string what = "count=" + std::to_string(count);
+      // One byte short, and one byte (zero or not) too long.
+      const std::vector<std::uint8_t> cut(frame.begin(), frame.end() - 1);
+      EXPECT_THROW(WireCodec::decode_frame(cut, prev, count, decoded),
+                   std::runtime_error)
+          << what << " truncated";
+      for (const std::uint8_t extra : {0x00, 0xFF}) {
+        std::vector<std::uint8_t> longer = frame;
+        longer.push_back(extra);
+        EXPECT_THROW(WireCodec::decode_frame(longer, prev, count, decoded),
+                     std::runtime_error)
+            << what << " extended";
+      }
+      // Every nibble position with every out-of-range count (9..15).
+      for (std::size_t i = 0; i < count; ++i) {
+        const unsigned shift = (i & 1u) * 4u;
+        for (unsigned bad = 9; bad <= 15; ++bad) {
+          std::vector<std::uint8_t> mut = frame;
+          std::uint8_t& byte = mut[1 + i / 2];
+          byte = static_cast<std::uint8_t>((byte & ~(0xFu << shift)) |
+                                           (bad << shift));
+          EXPECT_THROW(WireCodec::decode_frame(mut, prev, count, decoded),
+                       std::runtime_error)
+              << what << " nibble " << i << " = " << bad;
+        }
+      }
+      // Every nonzero padding nibble of an odd count.
+      if (count % 2 == 1) {
+        for (unsigned pad = 1; pad <= 15; ++pad) {
+          std::vector<std::uint8_t> mut = frame;
+          mut[1 + count / 2] |= static_cast<std::uint8_t>(pad << 4u);
+          EXPECT_THROW(WireCodec::decode_frame(mut, prev, count, decoded),
+                       std::runtime_error)
+              << what << " padding " << pad;
+        }
+      }
+    }
+  }
+}
+
 TEST(NetCodec, StatefulEncodeKeysStreamsAndStampsFrames) {
   WireCodec codec;
   const std::vector<double> params = {0.5, 0.25, -0.125, 8.0};
@@ -275,6 +441,91 @@ TEST(NetCodec, CaptureRestoreResumesTheFrameSequence) {
   WireCodec blank;
   blank.restore_streams({});
   EXPECT_EQ(send(blank, 1.0 + 1e-12), fresh_frame);
+}
+
+TEST(NetCodec, ConcurrentDistinctStreamsMatchSerial) {
+  // K senders x D device types, R rounds of drifting payloads: a
+  // keyframe, converging deltas, and an exact repeat. The pooled run
+  // encodes every sender's messages as one batch, a task per sender each
+  // round (as the exchange round's encode fan-out does); the serial run
+  // encodes the same messages one at a time, in order. Frames, stats and
+  // stream state must agree.
+  constexpr std::size_t kSenders = 16;
+  constexpr std::size_t kDevices = 2;
+  constexpr std::size_t kRounds = 8;
+  constexpr std::size_t kLen = 300;
+  const auto payload = [&](std::size_t k, std::size_t d, std::size_t r) {
+    std::vector<double> v(kLen);
+    const std::size_t step = r == kRounds - 1 ? r - 1 : r;  // last repeats
+    for (std::size_t i = 0; i < kLen; ++i) {
+      v[i] = std::sin(static_cast<double>(k * 131 + d * 17 + i)) +
+             std::pow(10.0, -static_cast<double>(2 * step)) *
+                 std::cos(static_cast<double>(i + step));
+    }
+    return v;
+  };
+  const auto encode = [&](WireCodec& codec, std::size_t k, std::size_t r,
+                          bool batch, std::vector<std::uint64_t>& coded) {
+    std::vector<Message> msgs(kDevices);
+    std::vector<Message*> ptrs;
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      const std::vector<double> v = payload(k, d, r);
+      Message& msg = msgs[d];
+      msg.sender = static_cast<pfdrl::net::AgentId>(k);
+      msg.kind = MessageKind::kForecastParams;
+      msg.device_type = static_cast<std::uint32_t>(d);
+      msg.round = r;
+      msg.payload.assign(v.begin(), v.end());
+      if (batch) {
+        ptrs.push_back(&msg);
+      } else {
+        codec.encode(msg);
+      }
+    }
+    if (batch) codec.encode(ptrs);
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      coded[(r * kSenders + k) * kDevices + d] = msgs[d].coded_bytes;
+    }
+  };
+
+  WireCodec serial;
+  std::vector<std::uint64_t> serial_coded(kRounds * kSenders * kDevices);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t k = 0; k < kSenders; ++k) {
+      encode(serial, k, r, /*batch=*/false, serial_coded);
+    }
+  }
+  const auto want_stats = serial.stats();
+  const auto want_streams = serial.capture_streams();
+  ASSERT_EQ(want_streams.size(), kSenders * kDevices);
+  EXPECT_GT(want_stats.repeat_frames, 0u);
+
+  for (int rep = 0; rep < 4; ++rep) {
+    WireCodec pooled;
+    std::vector<std::uint64_t> pooled_coded(serial_coded.size());
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      pfdrl::util::ThreadPool::global().parallel_for(
+          0, kSenders, [&](std::size_t k) {
+            encode(pooled, k, r, /*batch=*/true, pooled_coded);
+          });
+    }
+    EXPECT_EQ(pooled_coded, serial_coded) << "rep " << rep;
+    const auto got = pooled.stats();
+    EXPECT_EQ(got.frames, want_stats.frames);
+    EXPECT_EQ(got.repeat_frames, want_stats.repeat_frames);
+    EXPECT_EQ(got.raw_escapes, want_stats.raw_escapes);
+    EXPECT_EQ(got.raw_bytes, want_stats.raw_bytes);
+    EXPECT_EQ(got.coded_bytes, want_stats.coded_bytes);
+    const auto streams = pooled.capture_streams();
+    ASSERT_EQ(streams.size(), want_streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      EXPECT_EQ(streams[s].sender, want_streams[s].sender);
+      EXPECT_EQ(streams[s].kind, want_streams[s].kind);
+      EXPECT_EQ(streams[s].device_type, want_streams[s].device_type);
+      expect_bitwise(streams[s].prev, want_streams[s].prev, "stream prev");
+      expect_bitwise(streams[s].err, want_streams[s].err, "stream err");
+    }
+  }
 }
 
 TEST(NetCodec, QuantizeModeIsDeterministicWithErrorFeedback) {

@@ -1,13 +1,16 @@
 // Data-race stress for the round loop: fl::run_rounds trains parallel
 // compute cells, then runs the whole fl::ParamExchange::round, which on a
-// sharded bus broadcasts in item order, hands the cross-shard pair
-// batches over, and then drains every inbox and aggregates every item on
-// the pool — racing the inboxes, the wire codec's decode side, the
-// exchange tallies and the commits into live parameter slices. The cases
-// run on a sharded bus with the lossless wire codec on, full mesh and
-// hierarchical, plus whole fl::DflTrainer forecast runs (tiny LSTMs, 4
-// shards) where fused training cells, exchange commits into live
-// forecaster parameters and the shared metric counters all meet.
+// sharded bus encodes every sender's messages on the pool (one task per
+// agent, kAgents / kShards = 4 agents per shard, so encodes on distinct
+// codec streams run concurrently), broadcasts in item order, hands the
+// cross-shard pair batches over, and then drains every inbox and
+// aggregates every item on the pool — racing the codec's stream map,
+// stats and per-thread scratch, the inboxes, the exchange tallies and the
+// commits into live parameter slices. The cases run on a sharded bus with
+// the lossless wire codec on, full mesh and hierarchical, plus whole
+// fl::DflTrainer forecast runs (tiny LSTMs, 4 shards) where fused
+// training cells, exchange commits into live forecaster parameters and
+// the shared metric counters all meet.
 //
 // Built with -fsanitize=thread (see tests/CMakeLists.txt); a clean exit
 // 0 is the pass signal. The optional argument pins the global pool's

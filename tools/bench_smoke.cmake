@@ -57,11 +57,12 @@ if(NOT dfl_rc EQUAL 0)
 endif()
 
 # --- scale_sweep: small agent counts, explicitly sharded so the
-# ShardRouter batching + parallel exchange path runs. The emitter's twin
-# run is the engine's end-to-end determinism check (bitwise-identical
-# final parameters per point regardless of the thread schedule), and the
-# --pool-workers sweep runs every point at 1 and 4 workers — param_hash
-# must be identical across both per agent count (docs/scaling.md).
+# ShardRouter batching + parallel exchange path runs. The emitter's five
+# repetitions per point are the engine's end-to-end determinism check
+# (bitwise-identical final parameters regardless of the thread
+# schedule), and the --pool-workers sweep runs every point at 1 and 4
+# workers — param_hash must be identical across both per agent count
+# (docs/scaling.md).
 set(scale_json "${WORK_DIR}/BENCH_scale.json")
 execute_process(
   COMMAND "${SCALE_SWEEP}" --agents 20,50 --rounds 2 --shards 4
@@ -114,7 +115,7 @@ check_keys("${dfl_json}" bench lstm_windows lstm_windows_per_sec
   fused_points pool_hash_consistent pool_sweep)
 check_keys("${scale_json}" bench host topology params rounds deterministic
   hash_consistent points)
-check_keys("${wire_json}" bench rounds reps deterministic shapes)
+check_keys("${wire_json}" bench host rounds reps deterministic shapes)
 
 # Twin codec sweeps must agree frame-for-frame, and the LSTM shape's
 # converged-round compression must hold the documented >= 2x floor —
@@ -137,13 +138,13 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   message(STATUS "${wire_json}: lstm converged_ratio = ${lstm_ratio}")
 endif()
 
-# Twin sharded engine runs must agree bitwise (the scaling determinism
-# contract from docs/scaling.md, re-checked end-to-end).
+# Repeated sharded engine runs must agree bitwise (the scaling
+# determinism contract from docs/scaling.md, re-checked end-to-end).
 file(READ "${scale_json}" doc)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   string(JSON scale_det GET "${doc}" deterministic)
   if(NOT scale_det STREQUAL "ON" AND NOT scale_det STREQUAL "true")
-    message(FATAL_ERROR "scale_sweep: twin runs diverged (deterministic = ${scale_det})")
+    message(FATAL_ERROR "scale_sweep: repeated runs diverged (deterministic = ${scale_det})")
   endif()
   # One param_hash per agent count across every pool worker count —
   # single- ≡ multi-threaded.
