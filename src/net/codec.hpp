@@ -31,10 +31,10 @@
 // Concurrency: encodes on *distinct* streams may run concurrently. The
 // codec mutex guards only the stream-map lookup and the stats fold (once
 // per encode call, so a batch pays them once); the frame and verify
-// scratch is per thread. At most one encoder may run
-// per stream at a time, and reset_agent/reset_streams/restore_streams
-// must not overlap an encode of a stream they drop — fl::ParamExchange
-// encodes one task per sender, after the round's crash resets.
+// scratch is per thread. At most one encoder may run per stream at a
+// time, and reset_agent/reset_streams/restore_streams must not overlap
+// an encode of a stream they drop — fl::ParamExchange encodes one batch
+// per disjoint range of senders, after the round's crash resets.
 #pragma once
 
 #include <cstdint>
