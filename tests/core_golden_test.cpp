@@ -14,11 +14,17 @@
 // block it prints on failure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <span>
 
 #include "core/pipeline.hpp"
 #include "data/trace.hpp"
+#include "forecast/forecaster.hpp"
+#include "nn/kernels.hpp"
 #include "obs/metrics.hpp"
+#include "rl/dqn.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
 
@@ -414,6 +420,139 @@ TEST(GoldenChaos, FrlStarChaosMatchesPinnedConstants) {
   EXPECT_GT(out.retries, 0u) << "hub retry path never engaged";
   EXPECT_GT(out.fault_drops, 0u);
   expect_pinned(out, kChaosFrlStar);
+}
+
+// Pinned training trajectories. Each case trains one model through its
+// public entry point (Forecaster::train, DqnAgent::learn) on fixed seeded
+// data and folds every loss, the final parameters and the optimizer state
+// into one FNV-1a hash, so a refactor of the training engines must keep
+// the bits, not merely converge. The LSTM and GRU gates call sigmoid/tanh,
+// whose vector-math build differs from the scalar build by a few ulp
+// (nn/kernels.hpp), so those two cases carry one pin per build; BP and the
+// DQN use ReLU only and have one pin.
+//
+// Re-record (copy the "training actual" line printed on failure) only
+// after an intentional change to training semantics.
+std::uint64_t fnv1a(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, double value) {
+  return fnv1a(h, std::span<const double>(&value, 1));
+}
+
+void expect_training_pin(std::uint64_t actual, std::uint64_t pin,
+                         const char* what) {
+  if (actual != pin) {
+    std::printf("training actual: %s 0x%016llxULL (vector math %d)\n", what,
+                static_cast<unsigned long long>(actual),
+                pfdrl::nn::kernels::vector_math_active() ? 1 : 0);
+  }
+  EXPECT_EQ(actual, pin) << what;
+}
+
+/// Two training rounds (two half-day windows, each with its own forked
+/// RNG, as DFL rounds fork theirs) of one forecaster on a fixed trace.
+std::uint64_t forecaster_training_hash(forecast::Method method) {
+  sim::ScenarioConfig sc;
+  sc.neighborhood.num_households = 1;
+  sc.neighborhood.min_devices = 3;
+  sc.neighborhood.max_devices = 3;
+  sc.neighborhood.seed = 42;
+  sc.trace.days = 1;
+  sc.trace.seed = 42;
+  const auto traces = sim::Scenario::generate(sc).traces;
+  const data::DeviceTrace& trace = traces[0].devices[0];
+
+  data::WindowConfig window;
+  window.window = 8;
+  window.horizon = 5;
+  forecast::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.stride = 6;
+  const auto model = forecast::make_forecaster(method, window, 42000);
+  std::uint64_t h = kFnvOffset;
+  const std::size_t half = data::kMinutesPerDay / 2;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    util::Rng rng = util::Rng(42).fork(round);
+    const double loss =
+        model->train(trace, round * half, (round + 1) * half, cfg, rng);
+    EXPECT_GT(loss, 0.0);
+    h = fnv1a(h, loss);
+  }
+  h = fnv1a(h, model->parameters());
+  return fnv1a(h, model->train_state());
+}
+
+/// ~50 learn() steps of a small DQN on a fixed replay, folding every TD
+/// loss and then both networks, the Adam state and the step counter.
+std::uint64_t dqn_training_hash(bool double_dqn) {
+  rl::DqnConfig cfg;
+  cfg.state_dim = 3;
+  cfg.num_actions = 3;
+  cfg.hidden = {16, 16};
+  cfg.replay_capacity = 256;
+  cfg.batch_size = 16;
+  cfg.target_replace_every = 10;
+  cfg.seed = 5;
+  cfg.double_dqn = double_dqn;
+  rl::DqnAgent agent(cfg);
+  util::Rng fill(303);
+  for (int t = 0; t < 64; ++t) {
+    rl::Transition tr;
+    tr.state = {fill.normal(), fill.normal(), fill.normal()};
+    tr.action = static_cast<int>(fill.uniform_int(0, 2));
+    tr.reward = fill.uniform(-1, 1);
+    tr.next_state = {fill.normal(), fill.normal(), fill.normal()};
+    tr.terminal = fill.uniform() < 0.1;
+    agent.remember(std::move(tr));
+  }
+  std::uint64_t h = kFnvOffset;
+  for (int step = 0; step < 50; ++step) h = fnv1a(h, agent.learn());
+  const rl::DqnAgentState s = agent.capture_state();
+  h = fnv1a(h, s.online_params);
+  h = fnv1a(h, s.target_params);
+  h = fnv1a(h, s.optimizer.m);
+  h = fnv1a(h, s.optimizer.v);
+  h = fnv1a(h, static_cast<double>(s.optimizer.t));
+  return fnv1a(h, static_cast<double>(s.learn_steps));
+}
+
+// One pin per transcendental build (see above).
+std::uint64_t recurrent_pin(std::uint64_t vector_math, std::uint64_t scalar) {
+  return nn::kernels::vector_math_active() ? vector_math : scalar;
+}
+
+TEST(GoldenTraining, LstmMatchesPinnedConstants) {
+  expect_training_pin(forecaster_training_hash(forecast::Method::kLstm),
+                      recurrent_pin(0x5b005a773e8e0483ULL, 0x7a5f93e022746540ULL),
+                      "lstm");
+}
+
+TEST(GoldenTraining, GruMatchesPinnedConstants) {
+  expect_training_pin(forecaster_training_hash(forecast::Method::kGru),
+                      recurrent_pin(0xcd342e1420cafbf1ULL, 0x06f7e4d7d1a98f64ULL),
+                      "gru");
+}
+
+TEST(GoldenTraining, BpMatchesPinnedConstants) {
+  expect_training_pin(forecaster_training_hash(forecast::Method::kBp),
+                      0xbbc366f4e98219c6ULL, "bp");
+}
+
+TEST(GoldenTraining, DqnMatchesPinnedConstants) {
+  expect_training_pin(dqn_training_hash(false), 0x6ccabba88c6724ecULL, "dqn");
+  expect_training_pin(dqn_training_hash(true), 0x07d1f83dc98e4a95ULL,
+                      "double dqn");
 }
 
 }  // namespace
