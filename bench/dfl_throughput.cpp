@@ -16,14 +16,14 @@
 // strip-mined kernels are fixed-order reductions, so run-to-run drift
 // here is a bug, not noise.
 //
-// Fused-vs-per-home column (docs/fused_training.md): for each home
-// count in --fuse-homes, N virtual homes train over the same recorded
-// trace — once through the legacy per-home loop, once through one
-// forecast::FusedForecastTrainer group — and the column reports both
-// rates plus the speedup. The per-home cost is identical across homes
-// by construction, which isolates the fusion effect; the two paths'
-// final parameters must match bitwise per home (the fused determinism
-// contract, re-checked end-to-end at every sweep point).
+// Group-size column (docs/fused_training.md): for each home count N in
+// --fuse-homes, N virtual homes train over the same recorded trace —
+// once as N groups of one (each forecaster's own train()), once as one
+// forecast::FusedForecastTrainer group of N — and the column reports
+// both rates plus the speedup. The per-home cost is identical across
+// homes by construction, which isolates the grouping effect; the two
+// runs' final parameters must match bitwise per home (the grouping
+// invariance contract, re-checked end-to-end at every sweep point).
 //
 // Pool-worker sweep (docs/scaling.md#one-round-schedule): the recurrent
 // kernels and the fused trainer fan out over util::ThreadPool, whose
@@ -34,9 +34,8 @@
 // identical across worker counts: the fixed-order-reduction determinism
 // contract, measured instead of assumed.
 //
-// Writes a JSON summary (default BENCH_dfl.json in the CWD; the
-// committed baseline at the repo root carries before/after sections —
-// see docs/performance.md). Flags: --days N, --rounds R, --round-minutes
+// Writes a JSON summary with a host/build stamp (default BENCH_dfl.json
+// in the CWD; see docs/performance.md). Flags: --days N, --rounds R, --round-minutes
 // M, --fuse-homes LIST, --pool-workers CSV, --out PATH (and --emit PATH,
 // the internal child mode).
 #include <cinttypes>
@@ -137,14 +136,14 @@ MethodResult run_method(forecast::Method method, const data::DeviceTrace& trace,
 struct FusedPoint {
   std::string method;
   std::size_t homes = 0;
-  std::size_t windows = 0;  // epoch-weighted, per path (paths are equal)
-  double per_home_seconds = 0.0;
+  std::size_t windows = 0;  // epoch-weighted, per run (runs are equal)
+  double groups_of_one_seconds = 0.0;
   double fused_seconds = 0.0;
   bool bitwise_match = false;
 
-  [[nodiscard]] double per_home_windows_per_sec() const noexcept {
-    return per_home_seconds > 0.0
-               ? static_cast<double>(windows) / per_home_seconds
+  [[nodiscard]] double groups_of_one_windows_per_sec() const noexcept {
+    return groups_of_one_seconds > 0.0
+               ? static_cast<double>(windows) / groups_of_one_seconds
                : 0.0;
   }
   [[nodiscard]] double fused_windows_per_sec() const noexcept {
@@ -152,14 +151,14 @@ struct FusedPoint {
                                : 0.0;
   }
   [[nodiscard]] double speedup() const noexcept {
-    return fused_seconds > 0.0 ? per_home_seconds / fused_seconds : 0.0;
+    return fused_seconds > 0.0 ? groups_of_one_seconds / fused_seconds : 0.0;
   }
 };
 
-/// One fused-vs-per-home sweep point: `homes` LSTM forecasters (distinct
-/// seeds, same architecture) retrain over the same rounds, legacy loop
-/// vs one maximal fused group. Short epochs keep the big points quick;
-/// both paths and the window accounting use the same resolved config.
+/// One group-size sweep point: `homes` forecasters (distinct seeds, same
+/// architecture) retrain over the same rounds, as `homes` groups of one
+/// vs one group of `homes`. Short epochs keep the big points quick; both
+/// runs and the window accounting use the same resolved config.
 FusedPoint run_fused_point(forecast::Method method,
                            const data::DeviceTrace& trace, std::size_t homes,
                            std::size_t rounds, std::size_t round_minutes,
@@ -175,15 +174,15 @@ FusedPoint run_fused_point(forecast::Method method,
       forecast::resolve_train_config(method, sweep);
 
   data::WindowConfig window;  // production defaults (16-step, calendar)
-  std::vector<std::unique_ptr<forecast::Forecaster>> legacy;
+  std::vector<std::unique_ptr<forecast::Forecaster>> alone;
   std::vector<std::unique_ptr<forecast::Forecaster>> fused;
   for (std::size_t h = 0; h < homes; ++h) {
-    legacy.push_back(forecast::make_forecaster(method, window, 7 + h));
+    alone.push_back(forecast::make_forecaster(method, window, 7 + h));
     fused.push_back(forecast::make_forecaster(method, window, 7 + h));
   }
 
   // Per-job RNG forks mirror fl::DflTrainer's (round, job) scheme; both
-  // paths consume identical streams, so the final parameters must match
+  // runs consume identical streams, so the final parameters must match
   // bitwise per home.
   const auto job_rng = [](std::size_t r, std::size_t h) {
     return util::Rng(1).fork(r * 10000 + h * 100);
@@ -206,13 +205,13 @@ FusedPoint run_fused_point(forecast::Method method,
     }
   };
 
-  // Warm-up round on both paths: sizes the slabs and gradient arenas so
-  // the timed rounds measure the steady state (and keeps the two paths'
-  // total training identical for the bitwise check).
+  // Warm-up round on both runs: sizes the group's slabs and gradient
+  // arenas so the timed rounds measure the steady state (and keeps the
+  // two runs' total training identical for the bitwise check).
   const std::size_t warm_end = std::min(round_minutes, total_minutes);
   for (std::size_t h = 0; h < homes; ++h) {
     util::Rng rng = util::Rng(1).fork(990000 + h);
-    legacy[h]->train(trace, 0, warm_end, sweep, rng);
+    alone[h]->train(trace, 0, warm_end, sweep, rng);
   }
   {
     std::vector<util::Rng> rngs;
@@ -237,9 +236,9 @@ FusedPoint run_fused_point(forecast::Method method,
     watch.reset();
     for (std::size_t h = 0; h < homes; ++h) {
       util::Rng rng = job_rng(r, h);
-      legacy[h]->train(trace, begin, end, sweep, rng);
+      alone[h]->train(trace, begin, end, sweep, rng);
     }
-    point.per_home_seconds += watch.elapsed_seconds();
+    point.groups_of_one_seconds += watch.elapsed_seconds();
 
     watch.reset();
     fused_round(r, begin, end);
@@ -253,7 +252,7 @@ FusedPoint run_fused_point(forecast::Method method,
 
   point.bitwise_match = true;
   for (std::size_t h = 0; h < homes && point.bitwise_match; ++h) {
-    const auto a = legacy[h]->parameters();
+    const auto a = alone[h]->parameters();
     const auto b = fused[h]->parameters();
     if (a.size() != b.size()) point.bitwise_match = false;
     for (std::size_t i = 0; point.bitwise_match && i < a.size(); ++i) {
@@ -468,9 +467,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Fused-vs-per-home sweep: LSTM (the paper's production method) and
-  // GRU (its specialized register tiles land in the same fused engines;
-  // the column keeps the GRU fused path benched, not just gate-tested).
+  // Group-size sweep: LSTM (the paper's production method) and GRU (its
+  // specialized register tiles land in the same fused engines; the
+  // column keeps the GRU path benched, not just gate-tested).
   std::vector<FusedPoint> fused_points;
   for (const forecast::Method m :
        {forecast::Method::kLstm, forecast::Method::kGru}) {
@@ -482,13 +481,13 @@ int main(int argc, char** argv) {
   }
   bool fused_match = true;
   if (!fused_points.empty()) {
-    std::printf("\nfused vs per-home (one group per round):\n");
-    util::TextTable ftable({"method", "homes", "windows", "per-home w/s",
-                            "fused w/s", "speedup", "bitwise"});
+    std::printf("\nN groups of one vs one group of N, per round:\n");
+    util::TextTable ftable({"method", "homes", "windows", "groups-of-1 w/s",
+                            "group-of-N w/s", "speedup", "bitwise"});
     for (const auto& p : fused_points) {
       ftable.add_row({p.method, std::to_string(p.homes),
                       std::to_string(p.windows),
-                      std::to_string(p.per_home_windows_per_sec()),
+                      std::to_string(p.groups_of_one_windows_per_sec()),
                       std::to_string(p.fused_windows_per_sec()),
                       std::to_string(p.speedup()),
                       p.bitwise_match ? "yes" : "NO"});
@@ -498,7 +497,7 @@ int main(int argc, char** argv) {
   }
   if (!fused_match) {
     std::fprintf(stderr,
-                 "FATAL: fused training diverged from the per-home path\n");
+                 "FATAL: a group of N diverged from N groups of one\n");
     return 1;
   }
 
@@ -578,6 +577,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Stamp before writing: rewriting a tracked baseline would otherwise
+  // mark the tree dirty.
+  const std::string host = bench::host_stamp_json();
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -586,6 +588,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"dfl_throughput\",\n"
+               "  \"host\": %s,\n"
                "  \"days\": %zu,\n"
                "  \"rounds\": %zu,\n"
                "  \"round_minutes\": %zu,\n"
@@ -599,7 +602,7 @@ int main(int argc, char** argv) {
                "  \"fused_bitwise_match\": %s,\n"
                "  \"pool_hash_consistent\": %s,\n"
                "  \"fused_points\": [",
-               days, rounds, round_minutes, lstm.windows, lstm.seconds,
+               host.c_str(), days, rounds, round_minutes, lstm.windows, lstm.seconds,
                lstm.windows_per_sec(), gru.windows, gru.seconds,
                gru.windows_per_sec(),
                lstm.deterministic && gru.deterministic ? "true" : "false",
@@ -610,11 +613,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "%s\n    {\"method\": \"%s\", \"homes\": %zu,"
                  " \"windows\": %zu,"
-                 " \"per_home_windows_per_sec\": %.1f,"
+                 " \"groups_of_one_windows_per_sec\": %.1f,"
                  " \"fused_windows_per_sec\": %.1f,"
                  " \"speedup\": %.2f, \"bitwise_match\": %s}",
                  i == 0 ? "" : ",", p.method.c_str(), p.homes, p.windows,
-                 p.per_home_windows_per_sec(), p.fused_windows_per_sec(),
+                 p.groups_of_one_windows_per_sec(), p.fused_windows_per_sec(),
                  p.speedup(), p.bitwise_match ? "true" : "false");
   }
   std::fprintf(f, "%s],\n  \"pool_sweep\": [\n", fused_points.empty() ? "" : "\n  ");

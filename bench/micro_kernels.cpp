@@ -1,11 +1,18 @@
 // Micro-benchmarks of the computational kernels underlying the system:
-// matmul, dense forward/backward, LSTM steps, replay sampling, message
-// bus broadcast, and federated averaging.
+// matmul, dense forward, MLP/LSTM training steps (the fused engines over
+// a group of one network), replay sampling, message bus broadcast, and
+// federated averaging.
+//
+// The JSON context carries a "pfdrl_host" entry (nproc, CPU model, build
+// type and flags, git sha); "library_build_type" is the build type of the
+// installed Google Benchmark library, not of this code.
 #include <benchmark/benchmark.h>
 
+#include "common.hpp"
 #include "fl/aggregate.hpp"
 #include "net/bus.hpp"
 #include "nn/dense.hpp"
+#include "nn/fused.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
@@ -142,11 +149,16 @@ void BM_MlpTrainBatch(benchmark::State& state) {
   nn::Matrix y(32, 3);
   for (double& v : x.data()) v = rng.normal();
   for (double& v : y.data()) v = rng.normal();
+  nn::FusedMlp engine;
+  nn::Mlp* nets[] = {&net};
+  nn::Optimizer* opts[] = {&opt};
+  const nn::FusedSlice slices[] = {{0, 32}};
+  double loss[1];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net.train_batch(x, y, nn::LossKind::kHuber, opt));
+    engine.train_batch(nets, slices, x, y, nn::LossKind::kHuber, opts, loss);
+    benchmark::DoNotOptimize(loss[0]);
   }
-  state.SetLabel("paper 8x100 DQN net, batch 32");
+  state.SetLabel("paper 8x100 DQN net, batch 32, group of one");
 }
 BENCHMARK(BM_MlpTrainBatch);
 
@@ -160,10 +172,18 @@ void BM_LstmTrainBatch(benchmark::State& state) {
     for (double& v : m.data()) v = rng.normal();
   }
   for (double& v : y.data()) v = rng.normal();
+  nn::FusedLstm engine;
+  nn::LstmRegressor* nets[] = {&net};
+  nn::Optimizer* opts[] = {&opt};
+  const nn::FusedSlice slices[] = {{0, 32}};
+  std::vector<const nn::Matrix*> steps;
+  for (const auto& m : xs) steps.push_back(&m);
+  double loss[1];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.train_batch(xs, y, nn::LossKind::kMae, opt));
+    engine.train_batch(nets, slices, steps, y, nn::LossKind::kMae, opts, loss);
+    benchmark::DoNotOptimize(loss[0]);
   }
-  state.SetLabel("window 16, hidden 32, batch 32");
+  state.SetLabel("window 16, hidden 32, batch 32, group of one");
 }
 BENCHMARK(BM_LstmTrainBatch);
 
@@ -220,4 +240,11 @@ BENCHMARK(BM_FedAvg)->Arg(5)->Arg(100);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("pfdrl_host", bench::host_stamp_json());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

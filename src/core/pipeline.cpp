@@ -211,12 +211,11 @@ void EmsPipeline::run_fused_group(const std::vector<EmsJob>& jobs,
   std::vector<double> losses(n);
   rl::FusedDqnLearner& learner = *fused_learners_[c];
   // Lockstep rollout of members [i0, i1), which share one environment
-  // length. Returns false if the learner refused them and each agent
-  // learned on its own.
+  // length. Every agent is built from one cfg_.dqn, so the learner never
+  // refuses a group.
   const auto rollout = [&](std::size_t i0, std::size_t i1) {
     const std::span<rl::DqnAgent* const> members(&group_agents[i0], i1 - i0);
     const std::size_t len = envs[i0].length();
-    bool fused = true;
     for (std::size_t i = i0; i < i1; ++i) envs[i].state_into(0, states[i]);
     for (std::size_t t = 0; t < len; t += stride) {
       const std::size_t t_next = std::min(t + stride, len);
@@ -250,27 +249,25 @@ void EmsPipeline::run_fused_group(const std::vector<EmsJob>& jobs,
       // ticks.
       if ((begin + t) % cfg_.learn_every_minutes < stride) {
         if (!learner.learn(members, {&losses[i0], i1 - i0})) {
-          fused = false;
-          for (rl::DqnAgent* a : members) a->learn();
+          throw std::logic_error("EmsPipeline: learner refused a group");
         }
         learns += i1 - i0;
       }
       steps += i1 - i0;
     }
-    return fused;
   };
   const bool ragged =
       std::any_of(envs.begin(), envs.end(), [&](const ems::EmsEnvironment& e) {
         return e.length() != envs.front().length();
       });
-  bool fused = !ragged;
   if (ragged) {
-    // Ragged environments can't run in lockstep: one member at a time.
+    // Ragged environments can't run in lockstep: one member at a time,
+    // each a learner group of one.
     for (std::size_t i = 0; i < n; ++i) rollout(i, i + 1);
+    counters.fused_fallback_groups.add(1);
   } else {
-    fused = rollout(0, n);
+    rollout(0, n);
   }
-  if (!fused) counters.fused_fallback_groups.add(1);
   counters.env_steps.add(steps);
   counters.replay_pushes.add(steps);
   counters.learn_calls.add(learns);

@@ -30,7 +30,8 @@ void block_rows_const(const M& m, std::size_t r,
 }
 
 /// Dense head rows for one slice: out[r] = b + h_last[r] * W. Identical
-/// per-row loop to LstmRegressor::head_into / GruRegressor::head_into.
+/// per-row loop to the inference heads (LstmRegressor/GruRegressor
+/// head_into), so predict() and the training forward agree bitwise.
 void head_slice(const double* w, const double* b, std::size_t h,
                 std::size_t o, const Matrix& h_last, Matrix& out,
                 const FusedSlice& s) {
@@ -63,8 +64,8 @@ void head_backward_slice(const double* w, std::size_t h, std::size_t o,
   }
 }
 
-/// Member's fused-vs-per-home uniformity is the caller's contract; the
-/// slices must tile [0, rows) of the slab in order.
+/// Member uniformity is the caller's contract; the slices must tile
+/// [0, rows) of the slab in order.
 void check_slices(std::span<const FusedSlice> slices, std::size_t rows) {
   std::size_t at = 0;
   for (const FusedSlice& s : slices) {
@@ -95,11 +96,10 @@ LstmOffsets lstm_offsets(std::size_t f, std::size_t h, std::size_t o) {
   return ofs;
 }
 
-/// LSTM backward Phase-1 elementwise deltas for one row — the exact
-/// per-element op sequence of LstmRegressor::backward. kHasCPrev lifts
+/// LSTM backward Phase-1 elementwise deltas for one row. kHasCPrev lifts
 /// the t == 0 check out of the loop: the body is branch-free either way
-/// (cp folds to 0.0 at t == 0, preserving the signed-zero products of
-/// the scalar code), so the compiler can vectorize the j loop.
+/// (cp folds to 0.0 at t == 0, keeping the signed-zero products of a
+/// zero initial cell state), so the compiler can vectorize the j loop.
 template <bool kHasCPrev>
 void lstm_phase1_row(const double* __restrict zg, const double* __restrict tc,
                      const double* __restrict cpr, double* __restrict dhr,
@@ -128,7 +128,8 @@ void lstm_phase1_row(const double* __restrict zg, const double* __restrict tc,
 }
 
 /// One LSTM step over one slice's rows: blocked gate preactivation, then
-/// the per-row nonlinearity/state-update sequence of step_compute.
+/// the per-row nonlinearity/state-update sequence of the inference step
+/// (LstmRegressor::step_compute).
 /// `x_row0` offsets the rows read from x (the forecast epoch arena); the
 /// state slabs stay batch-local.
 void lstm_step_slice(const double* pwx, const double* pwh, const double* pb,
@@ -224,7 +225,7 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
       kernels::sigmoid_inplace(zr[i], 2 * h);
     }
     // Candidate pre-activation gets (r ⊙ h): the coefficient product is
-    // the same single rounding the per-home axpy computes inline.
+    // the same single rounding the row-at-a-time axpy computes inline.
     double* cf[kRB];
     double* zc[kRB];
     const double* cf_const[kRB];
@@ -272,8 +273,8 @@ void gru_step_slice(const double* pwx, const double* pwh, const double* pb,
 
 /// Blocked dense forward preactivation for one slice (activation applies
 /// slab-wide afterwards). Matches the batched dense_forward row kernel;
-/// the per-home batch-1 matvec1 dispatch is bitwise identical to it by
-/// the dense.hpp contract, so slicing never changes results. `in_row0`
+/// the batch-1 matvec1 dispatch of predict() is bitwise identical to it
+/// by the dense.hpp contract, so slicing never changes results. `in_row0`
 /// offsets the rows read from x (nonzero only for the input layer when
 /// the batch lives inside an epoch arena).
 void dense_forward_slice(std::span<const double> params, std::size_t in,
@@ -413,7 +414,7 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
   // own bank. Members share the activation/delta slabs but write
   // disjoint row ranges and never share an accumulator, so fanning the
   // members out across the pool cannot change any member's arithmetic —
-  // the fused result stays bitwise the per-home one at every thread
+  // a member's result is bitwise its group-of-one result at every thread
   // count. Member-major order also keeps each bank hot in cache for the
   // whole sequence instead of re-streaming every bank per timestep.
   grads_.assign(members * ofs.total, 0.0);
@@ -504,7 +505,7 @@ void FusedLstm::train_batch(std::span<LstmRegressor* const> nets,
       }
     }
 
-    // ---- Clip + Adam step (same sequence as train_batch). ----
+    // ---- Global-norm clip + optimizer step. ----
     std::span<double> gspan(g, ofs.total);
     if (clip_norm > 0.0) {
       const double sq = kernels::dot(gspan.data(), gspan.data(), gspan.size());
@@ -603,8 +604,8 @@ void FusedGru::train_batch(std::span<GruRegressor* const> nets,
       const Matrix& h_prev = t > 0 ? *h_[t - 1] : h0;
       const std::size_t r_end = s.row_begin + s.rows;
       // Phase 1 — elementwise deltas and recurrent dots. The per-row op
-      // sequence matches GruRegressor::backward; the recurrent dots run
-      // kRB rows at a time through fused_dot_rows (bitwise four dot()
+      // sequence matches the row-at-a-time tail below; the recurrent dots
+      // run kRB rows at a time through fused_dot_rows (bitwise four dot()
       // calls — exact lane decomposition) so each shared weight row
       // streams once per block instead of once per row. Every element
       // keeps its scalar single-accumulator chain: the candidate-dot

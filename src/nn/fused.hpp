@@ -1,16 +1,18 @@
-// Cross-home fused training batches (docs/fused_training.md).
+// Fused training engines (docs/fused_training.md) — the only training
+// implementation of the LSTM, GRU and MLP networks. A single network
+// trains as a group of one.
 //
 // Every home trains the same forecaster/DQN architecture on the same
-// window shapes, so a federation round is thousands of tiny per-home
-// batches that leave the PR 5 strip-mined kernels starved. The fused
-// layer gathers a group of homes' minibatches into one home-major slab —
-// rows [home0's batch | home1's batch | ...] — and runs the whole slab
-// through register-blocked kernels (nn::kernels::fused_*), slice by
-// slice against each home's own parameter bank, then scatters per-home
-// gradient slices back into each home's own optimizer state.
+// window shapes, so a federation round is thousands of tiny minibatches
+// that would leave the PR 5 strip-mined kernels starved one at a time.
+// An engine gathers a group of members' minibatches into one home-major
+// slab — rows [member0's batch | member1's batch | ...] — and runs the
+// slab through register-blocked kernels (nn::kernels::fused_*), slice by
+// slice against each member's own parameter bank, then steps each
+// member's own optimizer with that member's own gradients.
 //
-// Because parameter banks stay per-home, the "one big matmul per gate"
-// is block-diagonal: each home's row slice multiplies its own weights.
+// Because parameter banks stay per member, the "one big matmul per gate"
+// is block-diagonal: each member's row slice multiplies its own weights.
 // The win is structural, not algebraic — one assembly pass, one scratch
 // arena, 4-row register tiles that stream each weight row once per
 // kernels::kRowBlock rows, and member-major scheduling: since members
@@ -22,13 +24,13 @@
 // arithmetic untouched, so results are bitwise identical at any thread
 // count.
 //
-// Determinism contract: PRESERVED, not re-blessed. Every fused kernel
-// keeps each output element a single accumulator walked in the exact
-// term order of the per-home path (see kernels.hpp), every nonlinearity
-// is invoked with the identical per-row slice the per-home path uses,
-// and per-home loss/clip/Adam steps run in the same per-home sequence.
-// Fused and per-home training are bitwise interchangeable; the
-// equivalence is pinned by nn_fused_test across LSTM/GRU/MLP/DQN.
+// Determinism contract: grouping invariance. Every blocked kernel keeps
+// each output element a single accumulator walked in the term order of
+// the row-at-a-time tail loop (see kernels.hpp), every nonlinearity is
+// invoked on one row's slice, and each member's loss/clip/Adam step reads
+// only that member's rows. A member's result therefore depends on its own
+// batch alone: a group of N is bitwise N groups of one, pinned by
+// nn_fused_test across LSTM/GRU/MLP and by rl_dqn_test for the DQN.
 //
 // All scratch lives in nn::Workspace slots (and capacity-reusing member
 // buffers), so steady-state fused batches of a stable shape perform no
@@ -69,9 +71,9 @@ void note_fused_batch(std::size_t members, std::size_t rows) noexcept;
 [[nodiscard]] std::uint64_t max_fused_members() noexcept;
 
 /// Fused multi-home LSTM trainer. One train_batch call runs forward +
-/// per-slice loss + BPTT + per-home clip/Adam for every member over the
-/// shared slab — bitwise identical to calling nets[i]->train_batch on
-/// slice i's rows alone.
+/// per-slice loss + BPTT + per-member clip/Adam for every member over the
+/// shared slab — bitwise identical to training each member alone on its
+/// slice's rows.
 class FusedLstm {
  public:
   /// xs[t] is the step-t slab and y the target slab; the batch covers
@@ -114,12 +116,12 @@ class FusedGru {
   std::vector<double> grads_;
 };
 
-/// Fused multi-home MLP: shared activation slabs, per-home weight banks.
+/// Fused multi-home MLP: shared activation slabs, per-member weight banks.
 /// forward() caches slab activations for backward(); backward()
 /// accumulates each member's gradients into that member's own
-/// Mlp::gradients() buffer (callers zero_grad and step per member, the
-/// same sequence the per-home path runs). All nets must share
-/// architecture (Mlp::same_architecture).
+/// Mlp::gradients() buffer (callers zero_grad and step per member, as
+/// train_batch does). All nets must share architecture
+/// (Mlp::same_architecture).
 class FusedMlp {
  public:
   /// As with the recurrent trainers, src_row0 offsets the rows read from

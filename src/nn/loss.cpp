@@ -18,69 +18,8 @@ double huber_grad(double error, double delta) noexcept {
 
 double loss_value(LossKind kind, const Matrix& pred, const Matrix& target,
                   double huber_delta) {
-  assert(pred.rows() == target.rows() && pred.cols() == target.cols());
-  const auto ps = pred.data();
-  const auto ts = target.data();
-  const auto n = static_cast<double>(ps.size());
-  if (ps.empty()) return 0.0;
-  double total = 0.0;
-  switch (kind) {
-    case LossKind::kMse:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        const double e = ps[i] - ts[i];
-        total += e * e;
-      }
-      return total / n;
-    case LossKind::kMae:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        total += std::abs(ps[i] - ts[i]);
-      }
-      return total / n;
-    case LossKind::kHuber:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        total += huber(ps[i] - ts[i], huber_delta);
-      }
-      return total / n;
-  }
-  return 0.0;
-}
-
-void loss_grad(LossKind kind, const Matrix& pred, const Matrix& target,
-               Matrix& grad, double huber_delta) {
-  assert(pred.rows() == target.rows() && pred.cols() == target.cols());
-  if (grad.rows() != pred.rows() || grad.cols() != pred.cols()) {
-    grad = Matrix(pred.rows(), pred.cols());
-  }
-  const auto ps = pred.data();
-  const auto ts = target.data();
-  auto gs = grad.data();
-  const double inv_n = ps.empty() ? 0.0 : 1.0 / static_cast<double>(ps.size());
-  switch (kind) {
-    case LossKind::kMse:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        gs[i] = 2.0 * (ps[i] - ts[i]) * inv_n;
-      }
-      break;
-    case LossKind::kMae:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        const double e = ps[i] - ts[i];
-        gs[i] = (e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0)) * inv_n;
-      }
-      break;
-    case LossKind::kHuber:
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        gs[i] = huber_grad(ps[i] - ts[i], huber_delta) * inv_n;
-      }
-      break;
-  }
-}
-
-double loss_value_rows(LossKind kind, const Matrix& pred,
-                       const Matrix& target, std::size_t row_begin,
-                       std::size_t rows, double huber_delta) {
   assert(pred.rows() == target.rows());
-  return loss_value_rows(kind, pred, row_begin, target, row_begin, rows,
-                         huber_delta);
+  return loss_value_rows(kind, pred, 0, target, 0, pred.rows(), huber_delta);
 }
 
 double loss_value_rows(LossKind kind, const Matrix& pred,
@@ -116,14 +55,6 @@ double loss_value_rows(LossKind kind, const Matrix& pred,
       return total / n;
   }
   return 0.0;
-}
-
-void loss_grad_rows(LossKind kind, const Matrix& pred, const Matrix& target,
-                    std::size_t row_begin, std::size_t rows, Matrix& grad,
-                    double huber_delta) {
-  assert(pred.rows() == target.rows());
-  loss_grad_rows(kind, pred, row_begin, target, row_begin, rows, grad,
-                 huber_delta);
 }
 
 void loss_grad_rows(LossKind kind, const Matrix& pred,

@@ -5,6 +5,10 @@
 // (paper §3.3.2, Eq. 7/8) treats layers [0, alpha) as federated "base"
 // layers and the rest as local "personalization" layers; with this layout
 // that is exactly the flat prefix [0, layer_offset(alpha)).
+//
+// The class owns the parameters, a gradient buffer and the inference
+// path. Training runs in nn::FusedMlp, which accumulates into each
+// member's gradients() (a single network is a group of one).
 #pragma once
 
 #include <cstddef>
@@ -13,9 +17,7 @@
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
-#include "nn/loss.hpp"
 #include "nn/matrix.hpp"
-#include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
@@ -76,12 +78,8 @@ class Mlp {
   /// Replace all parameters. Size must equal parameter_count().
   void set_parameters(std::span<const double> values);
 
-  /// Forward pass with activation caching (required before backward()).
-  /// The input is held by reference, not copied: `x` must stay alive and
-  /// unmodified until the matching backward() completes.
-  const Matrix& forward(const Matrix& x);
-  /// Stateless inference (does not disturb the training caches).
-  /// Allocates per call; the hot path is the workspace overload below.
+  /// Stateless inference. Allocates per call; the hot path is the
+  /// workspace overload below.
   [[nodiscard]] Matrix predict(const Matrix& x) const;
   /// Allocation-free inference: every per-layer activation lives in a
   /// workspace slot (one take() per layer, exact shapes, so steady-state
@@ -91,17 +89,6 @@ class Mlp {
   const Matrix& predict(const Matrix& x, Workspace& ws) const;
 
   void zero_grad() noexcept;
-  /// Accumulate gradients for dL/d(output) = grad_out. Must follow
-  /// forward() with the same batch. `grad_out` is consumed as scratch:
-  /// its contents are unspecified on return (the layer sweep ping-pongs
-  /// it against an internal buffer), but its heap allocation is preserved
-  /// — callers that pass a pooled matrix keep their capacity.
-  void backward(Matrix& grad_out);
-
-  /// Convenience: forward + loss + backward + optimizer step over one
-  /// mini-batch. Returns the batch loss.
-  double train_batch(const Matrix& x, const Matrix& y, LossKind loss,
-                     Optimizer& opt, double huber_delta = 1.0);
 
   /// Structural equality of shapes (same dims/activations) — a
   /// precondition for federated parameter exchange.
@@ -114,20 +101,6 @@ class Mlp {
   std::vector<std::size_t> offsets_;  // per-layer flat offsets, + total
   std::vector<double> params_;
   std::vector<double> grads_;
-  // Forward caches: acts_[i] is layer i's output (1-based; the input is
-  // *viewed* through input_, never deep-copied — see forward()).
-  std::vector<Matrix> acts_;
-  const Matrix* input_ = nullptr;
-  // Backward ping-pong scratch, kept to preserve capacity across batches.
-  Matrix grad_scratch_;
-  // Loss-gradient buffer for train_batch, reused across batches.
-  Matrix loss_grad_scratch_;
-
-  /// Layer i's input: the forward() argument for i == 0, else the cached
-  /// activation of the previous layer.
-  [[nodiscard]] const Matrix& layer_input(std::size_t i) const noexcept {
-    return i == 0 ? *input_ : acts_[i];
-  }
 
   [[nodiscard]] Activation layer_act(std::size_t i) const noexcept {
     return i + 1 == num_layers() ? output_act_ : hidden_act_;

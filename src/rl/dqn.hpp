@@ -6,9 +6,12 @@
 //
 // The network is an nn::Mlp, so its flat parameter buffer and per-layer
 // offsets are directly usable by the PFDRL base/personalization split.
+// Learning runs in rl::FusedDqnLearner (rl/fused.hpp); DqnAgent::learn()
+// is one learner pass over a group of one.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "util/rng.hpp"
 
 namespace pfdrl::rl {
+
+class FusedDqnLearner;
 
 struct DqnConfig {
   std::size_t state_dim = 8;
@@ -64,6 +69,7 @@ struct DqnAgentState {
 class DqnAgent {
  public:
   explicit DqnAgent(const DqnConfig& cfg);
+  ~DqnAgent();
 
   [[nodiscard]] const DqnConfig& config() const noexcept { return cfg_; }
 
@@ -84,8 +90,8 @@ class DqnAgent {
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
 
   /// One DQN learning step on a replay minibatch (no-op until the buffer
-  /// holds at least one batch). Returns the Huber TD loss, or 0 if
-  /// skipped.
+  /// holds at least one batch): a FusedDqnLearner pass with this agent as
+  /// the only member. Returns the Huber TD loss, or 0 if skipped.
   double learn();
 
   /// Current exploration rate.
@@ -117,9 +123,9 @@ class DqnAgent {
   void restore_state(const DqnAgentState& state);
 
  private:
-  // The fused cross-home learner (rl/fused.hpp) replays this agent's
-  // learn() sequence against shared slabs; it needs the same private
-  // state learn() touches.
+  // The learner (rl/fused.hpp) runs this agent's learning step against
+  // shared slabs; it needs the networks, optimizer, replay, RNG, step
+  // counter and sample buffer.
   friend class FusedDqnLearner;
 
   /// Single-state forward through the workspace; returns the Q-row, which
@@ -135,14 +141,16 @@ class DqnAgent {
   ReplayBuffer replay_;
   std::uint64_t act_steps_ = 0;
   std::uint64_t learn_steps_ = 0;
-  // Inference scratch. The workspace (and the learn() buffers below) keep
-  // their heap blocks across calls, so the steady-state act/learn paths
-  // stop allocating once warm. Mutable: taking scratch does not change
-  // the agent's observable state.
+  // Inference scratch. The workspace keeps its heap blocks across calls,
+  // so the steady-state act path stops allocating once warm. Mutable:
+  // taking scratch does not change the agent's observable state.
   mutable nn::Workspace ws_;
-  nn::Matrix states_;
-  nn::Matrix next_states_;
+  // The replay minibatch the learner samples into (capacity reused).
   std::vector<const Transition*> batch_;
+  // learn()'s group-of-one learner, created by the first learn() call:
+  // agents that only learn through a caller's group learner (the EMS
+  // pipeline) never allocate it.
+  std::unique_ptr<FusedDqnLearner> learner_;
 };
 
 }  // namespace pfdrl::rl

@@ -26,7 +26,7 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
     }
   }
 
-  // Warm-up gate before any RNG use, exactly as DqnAgent::learn().
+  // Warm-up gate before any RNG use.
   active_.clear();
   for (std::size_t i = 0; i < agents.size(); ++i) {
     if (agents[i]->replay_.size() >= agents[i]->cfg_.batch_size) {
@@ -65,7 +65,7 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
 
   // Bootstrap and prediction passes over the whole slab. Each agent's
   // slice multiplies its own parameter bank, so per-row results are
-  // bitwise the per-agent predict/forward values. One engine runs all
+  // bitwise the agent's own predict() values. One engine runs all
   // three passes: the bootstrap outputs are copied out before the next
   // pass reuses its activation slabs, and the online pass runs last so
   // its activations stay cached for backward().
@@ -109,8 +109,8 @@ bool FusedDqnLearner::learn(std::span<DqnAgent* const> agents,
     losses[active_[m]] = loss;
   }
 
-  // Scatter: per-agent gradient accumulation through the shared
-  // backward, then each agent's own Adam step and target schedule.
+  // Per-agent gradient accumulation through the shared backward, then
+  // each agent's own Adam step and target schedule.
   for (const std::size_t idx : active_) agents[idx]->net_.zero_grad();
   mlp_.backward(online_nets_, slices_, grad_);
   for (const std::size_t idx : active_) {

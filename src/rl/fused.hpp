@@ -1,22 +1,24 @@
-// Cross-home fused DQN learning (docs/fused_training.md).
+// Fused DQN learning (docs/fused_training.md) — the only DQN learning
+// step. DqnAgent::learn() runs it over a group of one; the EMS pipeline
+// runs it over each lockstep group of homes.
 //
 // Every residence runs the same Q-network architecture, so one EMS learn
 // tick across a group of homes is N identical tiny minibatches. The
-// fused learner stacks the group's replay minibatches into home-major
+// learner stacks the group's replay minibatches into home-major
 // state/next-state slabs and drives them through three passes of one
 // shared nn::FusedMlp (target bootstrap, optional double-DQN online
 // bootstrap, online forward/backward) against each agent's own
-// parameter bank, then scatters per-agent TD gradients back into each
-// agent's own Adam state.
+// parameter bank, then steps each agent's own Adam state with that
+// agent's TD gradients.
 //
-// Determinism contract: PRESERVED. Per agent, the operation sequence is
-// exactly DqnAgent::learn() — the replay-not-full gate fires before any
-// RNG use, sample_into consumes the agent's own RNG identically, every
-// matmul slice is bitwise the per-home kernel result (nn/fused.hpp), the
-// TD target/Huber-gradient arithmetic is per-row, and clip-free
-// zero_grad/backward/step/target-sync run per agent in group order.
-// Fused and per-agent learning are bitwise interchangeable (pinned by
-// rl_dqn_test's fused equivalence cases).
+// Determinism contract: grouping invariance. Per agent, the operation
+// sequence depends on that agent alone — the replay-not-full gate fires
+// before any RNG use, sample_into consumes the agent's own RNG, every
+// matmul slice is bitwise its group-of-one result (nn/fused.hpp), the
+// TD target/Huber-gradient arithmetic is per row, and
+// zero_grad/backward/step/target-sync run per agent in group order. A
+// group of N learns bitwise like N groups of one (pinned by rl_dqn_test's
+// FusedDqn cases and the GoldenTraining DQN pin).
 #pragma once
 
 #include <cstddef>
@@ -29,20 +31,20 @@
 
 namespace pfdrl::rl {
 
-/// Fused multi-agent DQN learner. One learn() call performs one
-/// DqnAgent::learn() step for every agent in the group, bitwise
-/// identical to calling agents[i]->learn() in order.
+/// Fused multi-agent DQN learner. One learn() call performs one learning
+/// step for every agent in the group, bitwise identical to calling
+/// agents[i]->learn() (a group of one) in order.
 class FusedDqnLearner {
  public:
   /// Runs one fused learn step. `losses` is parallel to `agents` and
   /// receives each agent's TD loss (0.0 for agents whose replay buffer
   /// is still warming up — those agents are skipped without touching
-  /// their RNG, matching the per-agent early return).
+  /// their RNG).
   ///
   /// Returns false — with no agent state touched — when the group is not
   /// fusable (mismatched state/action dims, batch sizes, double-DQN
-  /// settings, or network architectures); the caller must fall back to
-  /// per-agent learn().
+  /// settings, or network architectures). Agents built from one
+  /// DqnConfig always fuse, and so does a group of one.
   bool learn(std::span<DqnAgent* const> agents, std::span<double> losses);
 
  private:

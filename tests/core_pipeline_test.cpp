@@ -214,12 +214,12 @@ TEST(Pipeline, LearnCadenceAndAccountingFollowMeterInterval) {
   EXPECT_EQ(reg.histogram("ems.round_seconds").count(), 2u);
 }
 
-/// Test-local per-agent reference for the EMS training step of a PFDRL
-/// pipeline: fresh agents seeded as EmsPipeline seeds them, each rolled
-/// out alone over the same environments (forecasts from `forecasts`'
-/// trained DFL models) and trained by its own learn(), with a
-/// DrlFederation round after every γ window. Returns every agent's
-/// parameters, home-major.
+/// Test-local groups-of-one reference for the EMS training step of a
+/// PFDRL pipeline: fresh agents seeded as EmsPipeline seeds them, each
+/// rolled out alone over the same environments (forecasts from
+/// `forecasts`' trained DFL models) and trained by its own learn() (a
+/// learner group of one), with a DrlFederation round after every γ
+/// window. Returns every agent's parameters, home-major.
 std::vector<double> per_agent_reference(
     const std::vector<data::HouseholdTrace>& traces, const PipelineConfig& cfg,
     const EmsPipeline& forecasts, std::size_t begin, std::size_t end) {
@@ -309,13 +309,13 @@ std::vector<double> per_agent_reference(
   return all;
 }
 
-// The fused-training contract end-to-end (docs/fused_training.md): EMS
-// rounds always run in cross-home lockstep with stacked DQN learn slabs
-// (one group per shard, or per pool thread unsharded), inline
-// (shards <= 1) and pooled (shards > 1) exchange alike, and
-// every agent's parameters must stay bitwise identical to each agent rolled
-// out alone and trained by its own learn(). No EMS group falls back; LR
-// forecasts make every DFL group fall back per job.
+// Grouping invariance end-to-end (docs/fused_training.md): EMS rounds
+// always run in cross-home lockstep with stacked DQN learn slabs (one
+// group per shard, or per pool thread unsharded), inline (shards <= 1)
+// and pooled (shards > 1) exchange alike, and every agent's parameters
+// must stay bitwise identical to each agent rolled out alone and trained
+// as a group of one. No EMS group leaves lockstep; LR forecasts make
+// every DFL group train per job.
 TEST(Pipeline, FusedEmsMatchesPerAgentReference) {
   auto sc = sim::tiny_scenario(42);
   sc.neighborhood.num_households = 4;

@@ -303,12 +303,13 @@ std::vector<double> per_job_reference(
 
 }  // namespace
 
-// The fused-training contract at the DFL layer: every round trains in
-// fused groups (one per shard, or per pool thread unsharded), and the
-// trained parameters must stay bitwise identical to each forecaster's
-// own train() — at every shard count, for each NN method. Closed-form
-// methods cannot fuse: every group falls back per job with the forked
-// RNGs still unconsumed, and dfl.fused_fallback_groups counts it.
+// Grouping invariance at the DFL layer: every round trains in fused
+// groups (one per shard, or per pool thread unsharded), and the trained
+// parameters must stay bitwise identical to each forecaster's own
+// train() (a group of one) — at every shard count, for each NN method.
+// Closed-form methods cannot fuse: every group falls back per job with
+// the forked RNGs still unconsumed, and dfl.fused_fallback_groups counts
+// it.
 TEST(DflTrainer, FusedTrainingMatchesPerJobReference) {
   const auto traces = small_traces(5, 2);
   for (const auto method :

@@ -118,8 +118,8 @@ TEST_P(LossGradCheck, MatchesFiniteDifference) {
   const LossKind kind = GetParam();
   Matrix pred{{0.3, -1.7, 2.2}};
   const Matrix target{{0.0, 0.5, 2.0}};
-  Matrix grad;
-  loss_grad(kind, pred, target, grad);
+  Matrix grad(pred.rows(), pred.cols());
+  loss_grad_rows(kind, pred, 0, target, 0, pred.rows(), grad);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     Matrix plus = pred;

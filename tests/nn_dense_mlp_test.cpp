@@ -3,13 +3,29 @@
 #include <algorithm>
 #include <cmath>
 
+#include "group_of_one.hpp"
 #include "nn/dense.hpp"
+#include "nn/fused.hpp"
+#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
 namespace {
+
+using testing::train_alone;
+
+/// Fused forward + backward of `net` alone for dL/d(output) = grad_out;
+/// leaves the parameter gradients in net.gradients().
+void backprop_alone(Mlp& net, const Matrix& x, Matrix grad_out) {
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  engine.forward(nets, slices, x);
+  net.zero_grad();
+  engine.backward(nets, slices, grad_out);
+}
 
 TEST(Dense, ParamCount) {
   EXPECT_EQ(dense_param_count(3, 4), 16u);
@@ -34,13 +50,14 @@ TEST(Dense, ForwardReluClamps) {
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
 }
 
+// Dense-layer backward (bias, weights and the activation derivative)
+// through a one-layer net trained as a fused group of one.
 TEST(Dense, GradientCheck) {
   util::Rng rng(3);
   const std::size_t in = 4;
   const std::size_t out = 3;
-  std::vector<double> params(dense_param_count(in, out));
-  dense_init(params, in, out, InitScheme::kXavierUniform, rng);
-
+  Mlp net({in, out}, Activation::kRelu, Activation::kTanh,
+          InitScheme::kXavierUniform, rng);
   Matrix x(2, in);
   for (double& v : x.data()) v = rng.normal();
 
@@ -53,14 +70,10 @@ TEST(Dense, GradientCheck) {
     return s;
   };
 
-  Matrix y;
-  dense_forward(params, in, out, x, Activation::kTanh, y);
-  Matrix grad_y(2, out, 1.0);
-  std::vector<double> grads(params.size(), 0.0);
-  Matrix grad_x;
-  dense_backward(params, in, out, x, y, Activation::kTanh, grad_y, grads,
-                 &grad_x);
-
+  backprop_alone(net, x, Matrix(2, out, 1.0));
+  const std::vector<double> params(net.parameters().begin(),
+                                   net.parameters().end());
+  const auto grads = net.gradients();
   const double eps = 1e-6;
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto plus = params;
@@ -70,35 +83,6 @@ TEST(Dense, GradientCheck) {
     const double numeric = (loss(plus) - loss(minus)) / (2 * eps);
     ASSERT_NEAR(grads[i], numeric, 1e-5) << "param " << i;
   }
-
-  // Input gradient check.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    Matrix xp = x;
-    Matrix xm = x;
-    xp.data()[i] += eps;
-    xm.data()[i] -= eps;
-    Matrix yp, ym;
-    dense_forward(params, in, out, xp, Activation::kTanh, yp);
-    dense_forward(params, in, out, xm, Activation::kTanh, ym);
-    double sp = 0.0, sm = 0.0;
-    for (double v : yp.data()) sp += v;
-    for (double v : ym.data()) sm += v;
-    ASSERT_NEAR(grad_x.data()[i], (sp - sm) / (2 * eps), 1e-5) << "x " << i;
-  }
-}
-
-TEST(DenseLayer, ForwardBackwardRoundTrip) {
-  util::Rng rng(4);
-  DenseLayer layer(3, 2, Activation::kRelu, InitScheme::kHeNormal, rng);
-  Matrix x{{0.5, -0.2, 1.0}, {1.0, 1.0, 1.0}};
-  const Matrix& y = layer.forward(x);
-  EXPECT_EQ(y.rows(), 2u);
-  EXPECT_EQ(y.cols(), 2u);
-  layer.zero_grad();
-  Matrix grad_y(2, 2, 1.0);
-  const Matrix grad_x = layer.backward(std::move(grad_y));
-  EXPECT_EQ(grad_x.rows(), 2u);
-  EXPECT_EQ(grad_x.cols(), 3u);
 }
 
 TEST(Mlp, ConstructionValidation) {
@@ -157,15 +141,19 @@ TEST(Mlp, SetParametersRoundTrip) {
                std::invalid_argument);
 }
 
-TEST(Mlp, PredictMatchesForward) {
+// A fused step at learning rate 0 reports exactly the loss of
+// predict()'s output: the training forward and predict() agree bitwise.
+TEST(Mlp, PredictMatchesTrainingForward) {
   util::Rng rng(9);
   Mlp net({3, 6, 4, 2}, Activation::kRelu, Activation::kIdentity,
           InitScheme::kHeNormal, rng);
   Matrix x(5, 3);
   for (double& v : x.data()) v = rng.normal();
-  const Matrix a = net.predict(x);
-  const Matrix& b = net.forward(x);
-  EXPECT_EQ(a, b);
+  Matrix y(5, 2);
+  for (double& v : y.data()) v = rng.normal();
+  const double expected = loss_value(LossKind::kHuber, net.predict(x), y);
+  Sgd frozen(0.0);
+  EXPECT_EQ(train_alone(net, x, y, LossKind::kHuber, frozen), expected);
 }
 
 TEST(Mlp, GradientCheckSmallNet) {
@@ -183,11 +171,10 @@ TEST(Mlp, GradientCheckSmallNet) {
     return loss_value(LossKind::kMse, pred, target);
   };
 
-  const Matrix& pred = net.forward(x);
-  Matrix grad;
-  loss_grad(LossKind::kMse, pred, target, grad);
-  net.zero_grad();
-  net.backward(grad);
+  const Matrix pred = net.predict(x);
+  Matrix grad(pred.rows(), pred.cols());
+  loss_grad_rows(LossKind::kMse, pred, 0, target, 0, pred.rows(), grad);
+  backprop_alone(net, x, grad);
 
   const auto params = net.parameters();
   const auto grads = net.gradients();
@@ -217,9 +204,9 @@ TEST(Mlp, TrainBatchLearnsToyRegression) {
     x(i, 1) = data_rng.uniform(-1, 1);
     y(i, 0) = 2 * x(i, 0) - x(i, 1);
   }
-  const double first = net.train_batch(x, y, LossKind::kMse, opt);
+  const double first = train_alone(net, x, y, LossKind::kMse, opt);
   double last = first;
-  for (int e = 0; e < 300; ++e) last = net.train_batch(x, y, LossKind::kMse, opt);
+  for (int e = 0; e < 300; ++e) last = train_alone(net, x, y, LossKind::kMse, opt);
   EXPECT_LT(last, first * 0.05);
   EXPECT_LT(last, 0.01);
 }
@@ -281,15 +268,18 @@ TEST(Dense, Batch1MatchesBatchedBitwise) {
   }
 }
 
-// predict() (workspace inference path) and forward() (training path)
-// share the same dense kernels, so their outputs must be bitwise equal.
-TEST(Mlp, PredictMatchesForwardBitwise) {
+// predict() (workspace inference path) and the fused forward (training
+// path) must produce bitwise the same outputs, element by element.
+TEST(Mlp, PredictMatchesFusedForwardBitwise) {
   util::Rng rng(32);
   Mlp net({5, 9, 7, 3}, Activation::kRelu, Activation::kIdentity,
           InitScheme::kHeNormal, rng);
   Matrix x(4, 5);
   for (double& v : x.data()) v = rng.normal();
-  const Matrix& fwd = net.forward(x);
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  const Matrix& fwd = engine.forward(nets, slices, x);
   const Matrix pred = net.predict(x);
   ASSERT_EQ(pred.rows(), fwd.rows());
   ASSERT_EQ(pred.cols(), fwd.cols());

@@ -1,13 +1,14 @@
-// Bitwise equivalence of the fused cross-home training path against the
-// per-home reference, plus the steady-state zero-alloc pin for the fused
-// assembly (docs/fused_training.md). These tests are the determinism
-// contract: fused and per-home training must be interchangeable down to
-// the last bit, so every EXPECT below compares doubles with EXPECT_EQ.
+// Grouping invariance of the fused training engines — a group of N
+// members trains bitwise like N groups of one — plus the steady-state
+// zero-alloc pin for the fused assembly (docs/fused_training.md). These
+// tests are the determinism contract: how homes are grouped must never
+// change a bit, so every EXPECT below compares doubles with EXPECT_EQ.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "group_of_one.hpp"
 #include "nn/fused.hpp"
 #include "nn/gru.hpp"
 #include "nn/kernels.hpp"
@@ -31,6 +32,7 @@ using pfdrl::nn::LossKind;
 using pfdrl::nn::LstmRegressor;
 using pfdrl::nn::Matrix;
 using pfdrl::nn::Mlp;
+using pfdrl::nn::testing::train_alone;
 using pfdrl::util::Rng;
 
 void fill_random(Matrix& m, Rng& rng) {
@@ -73,10 +75,10 @@ constexpr std::size_t kH = 10;    // hidden width (exercises j-tile tails)
 constexpr std::size_t kT = 5;     // sequence length
 constexpr std::size_t kRounds = 4;
 // Mixed batch sizes: multiples of the row block, remainders, and a
-// batch-1 member (the per-home matvec1 dispatch case for the MLP).
+// batch-1 member (the group-of-one slice with no full row block).
 const std::vector<std::size_t> kBatches = {5, 8, 1, 4, 7};
 
-TEST(NnFused, LstmBitwiseMatchesPerHome) {
+TEST(NnFused, LstmGroupMatchesGroupsOfOneBitwise) {
   Rng rng(1234);
   const std::size_t members = kBatches.size();
   std::vector<LstmRegressor> base;
@@ -85,7 +87,7 @@ TEST(NnFused, LstmBitwiseMatchesPerHome) {
     Rng init = rng.fork(100 + i);
     base.emplace_back(kF, kH, 1, init);
   }
-  std::vector<LstmRegressor> solo = base;  // per-home reference copies
+  std::vector<LstmRegressor> solo = base;  // groups-of-one copies
 
   const Slab slab = make_slices(kBatches);
   FusedLstm fused;
@@ -114,7 +116,7 @@ TEST(NnFused, LstmBitwiseMatchesPerHome) {
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
       solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kMae, solo_opts[i]);
+          train_alone(solo[i], xs[i], ys[i], LossKind::kMae, solo_opts[i]);
     }
 
     std::vector<LstmRegressor*> nets;
@@ -137,7 +139,7 @@ TEST(NnFused, LstmBitwiseMatchesPerHome) {
   }
 }
 
-TEST(NnFused, GruBitwiseMatchesPerHome) {
+TEST(NnFused, GruGroupMatchesGroupsOfOneBitwise) {
   Rng rng(987);
   const std::size_t members = kBatches.size();
   std::vector<GruRegressor> base;
@@ -174,7 +176,7 @@ TEST(NnFused, GruBitwiseMatchesPerHome) {
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
       solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kMae, solo_opts[i]);
+          train_alone(solo[i], xs[i], ys[i], LossKind::kMae, solo_opts[i]);
     }
 
     std::vector<GruRegressor*> nets;
@@ -197,7 +199,7 @@ TEST(NnFused, GruBitwiseMatchesPerHome) {
   }
 }
 
-TEST(NnFused, MlpBitwiseMatchesPerHome) {
+TEST(NnFused, MlpGroupMatchesGroupsOfOneBitwise) {
   Rng rng(555);
   const std::size_t members = kBatches.size();
   const std::vector<std::size_t> dims = {4, 12, 9, 2};
@@ -231,7 +233,7 @@ TEST(NnFused, MlpBitwiseMatchesPerHome) {
     std::vector<double> solo_losses(members);
     for (std::size_t i = 0; i < members; ++i) {
       solo_losses[i] =
-          solo[i].train_batch(xs[i], ys[i], LossKind::kHuber, solo_opts[i]);
+          train_alone(solo[i], xs[i], ys[i], LossKind::kHuber, solo_opts[i]);
     }
 
     std::vector<Mlp*> nets;

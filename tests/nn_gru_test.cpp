@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "group_of_one.hpp"
+#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace pfdrl::nn {
 namespace {
+
+using testing::train_alone;
 
 std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
                                     std::size_t feat, util::Rng& rng) {
@@ -31,28 +35,34 @@ TEST(Gru, ParameterCount) {
   EXPECT_EQ(net.parameter_count(), f * 3 * h + h * 3 * h + 3 * h + h * o + o);
 }
 
-TEST(Gru, ForwardShape) {
+TEST(Gru, PredictShape) {
   util::Rng rng(3);
   GruRegressor net(2, 4, 1, rng);
   util::Rng data_rng(4);
   const auto xs = random_sequence(6, 3, 2, data_rng);
-  const Matrix& y = net.forward(xs);
+  const Matrix y = net.predict(xs);
   EXPECT_EQ(y.rows(), 3u);
   EXPECT_EQ(y.cols(), 1u);
 }
 
-TEST(Gru, PredictMatchesForward) {
+// A fused step at learning rate 0 reports exactly the loss of
+// predict()'s output: the training forward and predict() agree bitwise.
+TEST(Gru, PredictMatchesTrainingForward) {
   util::Rng rng(5);
   GruRegressor net(3, 5, 1, rng);
   util::Rng data_rng(6);
   const auto xs = random_sequence(5, 4, 3, data_rng);
-  EXPECT_EQ(net.predict(xs), net.forward(xs));
+  Matrix y(4, 1);
+  for (double& v : y.data()) v = data_rng.normal();
+  const double expected = loss_value(LossKind::kMse, net.predict(xs), y);
+  Sgd frozen(0.0);
+  EXPECT_EQ(train_alone(net, xs, y, LossKind::kMse, frozen), expected);
 }
 
 TEST(Gru, EmptySequenceThrows) {
   util::Rng rng(7);
   GruRegressor net(2, 4, 1, rng);
-  EXPECT_THROW(net.forward({}), std::invalid_argument);
+  EXPECT_THROW((void)net.predict({}), std::invalid_argument);
 }
 
 TEST(Gru, SetParametersRoundTrip) {
@@ -90,7 +100,7 @@ TEST(Gru, GradientCheckViaSgdStep) {
   const double lr = 1e-3;
   Sgd opt(lr);
   GruRegressor trained = net;
-  trained.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  train_alone(trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   const double eps = 1e-6;
@@ -127,7 +137,7 @@ TEST(Gru, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = net.train_batch(xs, y, LossKind::kMse, opt);
+    last_loss = train_alone(net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "group_of_one.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
@@ -9,6 +10,8 @@
 
 namespace pfdrl::nn {
 namespace {
+
+using testing::train_alone;
 
 std::vector<Matrix> random_sequence(std::size_t steps, std::size_t batch,
                                     std::size_t feat, util::Rng& rng) {
@@ -34,14 +37,14 @@ TEST(Lstm, ParameterCount) {
             f * 4 * h + h * 4 * h + 4 * h + h * o + o);
 }
 
-TEST(Lstm, ForwardShape) {
+TEST(Lstm, PredictShape) {
   util::Rng rng(3);
   LstmRegressor net(2, 4, 1, rng);
   const auto xs = [&] {
     util::Rng r(4);
     return random_sequence(6, 3, 2, r);
   }();
-  const Matrix& y = net.forward(xs);
+  const Matrix y = net.predict(xs);
   EXPECT_EQ(y.rows(), 3u);
   EXPECT_EQ(y.cols(), 1u);
 }
@@ -49,17 +52,21 @@ TEST(Lstm, ForwardShape) {
 TEST(Lstm, EmptySequenceThrows) {
   util::Rng rng(5);
   LstmRegressor net(2, 4, 1, rng);
-  EXPECT_THROW(net.forward({}), std::invalid_argument);
+  EXPECT_THROW((void)net.predict({}), std::invalid_argument);
 }
 
-TEST(Lstm, PredictMatchesForward) {
+// The training forward and predict() must agree bitwise: a fused step
+// at learning rate 0 reports exactly the loss of predict()'s output.
+TEST(Lstm, PredictMatchesTrainingForward) {
   util::Rng rng(6);
   LstmRegressor net(3, 5, 1, rng);
   util::Rng data_rng(7);
   const auto xs = random_sequence(5, 4, 3, data_rng);
-  const Matrix a = net.predict(xs);
-  const Matrix& b = net.forward(xs);
-  EXPECT_EQ(a, b);
+  Matrix y(4, 1);
+  for (double& v : y.data()) v = data_rng.normal();
+  const double expected = loss_value(LossKind::kMse, net.predict(xs), y);
+  Sgd frozen(0.0);
+  EXPECT_EQ(train_alone(net, xs, y, LossKind::kMse, frozen), expected);
 }
 
 TEST(Lstm, SameSeedSameOutput) {
@@ -86,8 +93,8 @@ TEST(Lstm, SetParametersRoundTrip) {
 
 TEST(Lstm, GradientCheckViaTraining) {
   // Finite-difference check of the full BPTT path: compare the parameter
-  // update direction of a plain-SGD train_batch against the numeric
-  // gradient of the loss.
+  // update direction of a plain-SGD step (a fused group of one) against
+  // the numeric gradient of the loss.
   util::Rng rng(11);
   LstmRegressor net(2, 3, 1, rng);
   util::Rng data_rng(12);
@@ -108,7 +115,7 @@ TEST(Lstm, GradientCheckViaTraining) {
   const double lr = 1e-3;
   Sgd opt(lr);
   LstmRegressor trained = net;
-  trained.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
+  train_alone(trained, xs, y, LossKind::kMse, opt, /*clip_norm=*/0.0);
   const auto after = trained.parameters();
 
   // Implied gradient from the SGD step: g = (before - after) / lr.
@@ -148,7 +155,7 @@ TEST(Lstm, LearnsSequenceMean) {
       }
       y(b, 0) = sum / 5.0;
     }
-    last_loss = net.train_batch(xs, y, LossKind::kMse, opt);
+    last_loss = train_alone(net, xs, y, LossKind::kMse, opt);
     if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.2);
@@ -164,7 +171,7 @@ TEST(Lstm, ClipNormBoundsUpdate) {
 
   Sgd opt(1.0);
   LstmRegressor clipped = net;
-  clipped.train_batch(xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
+  train_alone(clipped, xs, y, LossKind::kMse, opt, /*clip_norm=*/1.0);
   double update_sq = 0.0;
   for (std::size_t i = 0; i < net.parameter_count(); ++i) {
     const double d = clipped.parameters()[i] - net.parameters()[i];

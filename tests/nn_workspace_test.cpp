@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "nn/fused.hpp"
 #include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
@@ -172,15 +173,19 @@ TEST(Workspace, GruPredictMatchesAllocatingPredict) {
   EXPECT_EQ(Workspace::total_allocations(), allocs);
 }
 
-// predict() after forward() must not disturb the training caches: the
-// workspace inference path is const and shares no state with backward.
+// predict() after a training forward must not disturb the training
+// activations: the workspace inference path is const and shares no state
+// with the fused engine that backward() reads.
 TEST(Workspace, PredictDoesNotDisturbTrainingState) {
   util::Rng rng(45);
   Mlp net({3, 6, 2}, Activation::kRelu, Activation::kIdentity,
           InitScheme::kHeNormal, rng);
   Matrix x(2, 3);
   for (double& v : x.data()) v = rng.normal();
-  const Matrix& fwd = net.forward(x);
+  FusedMlp engine;
+  Mlp* nets[] = {&net};
+  const FusedSlice slices[] = {{0, x.rows()}};
+  const Matrix& fwd = engine.forward(nets, slices, x);
   const Matrix before = fwd;
   Workspace ws;
   Matrix probe(1, 3);

@@ -417,7 +417,7 @@ TEST(Dqn, RestoreRejectsShapeMismatch) {
   EXPECT_THROW(agent.restore_state(state2), std::invalid_argument);
 }
 
-// --- Cross-home fused learning (rl/fused.hpp) -------------------------
+// --- Fused learning over groups (rl/fused.hpp) -------------------------
 
 namespace {
 
@@ -456,29 +456,29 @@ std::vector<DqnAgent*> pointers(
 
 }  // namespace
 
-// The fused-learning contract: one FusedDqnLearner::learn() call is
-// bitwise one DqnAgent::learn() per agent — identical losses every step
-// and identical parameters after many steps (replay sampling, Adam
-// moments and target syncs all included).
+// Grouping invariance: one FusedDqnLearner::learn() call over a group of
+// N is bitwise one DqnAgent::learn() (a group of one) per agent —
+// identical losses every step and identical parameters after many steps
+// (replay sampling, Adam moments and target syncs all included).
 TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
   for (const bool double_dqn : {false, true}) {
     auto fused_group = make_group(4, double_dqn, 64);
-    auto legacy_group = make_group(4, double_dqn, 64);
+    auto solo_group = make_group(4, double_dqn, 64);
     const auto ptrs = pointers(fused_group);
     FusedDqnLearner learner;
     std::vector<double> losses(ptrs.size(), -1.0);
     for (int step = 0; step < 12; ++step) {
       ASSERT_TRUE(learner.learn(ptrs, losses));
-      for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-        ASSERT_EQ(losses[i], legacy_group[i]->learn())
+      for (std::size_t i = 0; i < solo_group.size(); ++i) {
+        ASSERT_EQ(losses[i], solo_group[i]->learn())
             << "double_dqn=" << double_dqn << " step " << step << " agent "
             << i;
       }
     }
-    for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-      EXPECT_EQ(fused_group[i]->learn_steps(), legacy_group[i]->learn_steps());
+    for (std::size_t i = 0; i < solo_group.size(); ++i) {
+      EXPECT_EQ(fused_group[i]->learn_steps(), solo_group[i]->learn_steps());
       const auto pf = fused_group[i]->network().parameters();
-      const auto pl = legacy_group[i]->network().parameters();
+      const auto pl = solo_group[i]->network().parameters();
       ASSERT_EQ(pf.size(), pl.size());
       for (std::size_t k = 0; k < pf.size(); ++k) {
         ASSERT_EQ(pf[k], pl[k])
@@ -488,17 +488,17 @@ TEST(FusedDqn, LearnMatchesPerAgentBitwise) {
   }
 }
 
-// Agents whose replay is still below one batch are skipped exactly like
-// the per-agent early return: loss 0.0, no learn step, no RNG use — so
-// the cold agent trains identically once it does warm up.
+// Agents whose replay is still below one batch are skipped: loss 0.0,
+// no learn step, no RNG use — so the cold agent trains identically to
+// its group-of-one twin once it does warm up.
 TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
   auto fused_group = make_group(3, false, 64);
-  auto legacy_group = make_group(3, false, 64);
+  auto solo_group = make_group(3, false, 64);
   // Rebuild agent 1 with an under-filled replay in both groups.
   auto cfg = small_config();
   cfg.seed = 51;
   fused_group[1] = std::make_unique<DqnAgent>(cfg);
-  legacy_group[1] = std::make_unique<DqnAgent>(cfg);
+  solo_group[1] = std::make_unique<DqnAgent>(cfg);
   const auto ptrs = pointers(fused_group);
   FusedDqnLearner learner;
   std::vector<double> losses(ptrs.size(), -1.0);
@@ -507,7 +507,7 @@ TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
   EXPECT_EQ(fused_group[1]->learn_steps(), 0u);
   EXPECT_NE(losses[0], 0.0);
   // Warm the cold agent up and keep fusing: it must still track its
-  // per-agent twin bitwise (its sampling RNG was never touched early).
+  // group-of-one twin bitwise (its sampling RNG was never touched early).
   util::Rng fill(999);
   for (int t = 0; t < 32; ++t) {
     Transition tr;
@@ -517,23 +517,23 @@ TEST(FusedDqn, ColdAgentSkippedWithoutRngUse) {
     tr.next_state = {fill.normal(), fill.normal(), fill.normal()};
     Transition tr2 = tr;
     fused_group[1]->remember(std::move(tr));
-    legacy_group[1]->remember(std::move(tr2));
+    solo_group[1]->remember(std::move(tr2));
   }
-  legacy_group[0]->learn();  // catch the twins up to the fused step above
-  legacy_group[2]->learn();
+  solo_group[0]->learn();  // catch the twins up to the fused step above
+  solo_group[2]->learn();
   for (int step = 0; step < 6; ++step) {
     ASSERT_TRUE(learner.learn(ptrs, losses));
-    for (std::size_t i = 0; i < legacy_group.size(); ++i) {
-      ASSERT_EQ(losses[i], legacy_group[i]->learn()) << "step " << step;
+    for (std::size_t i = 0; i < solo_group.size(); ++i) {
+      ASSERT_EQ(losses[i], solo_group[i]->learn()) << "step " << step;
     }
   }
   const auto pf = fused_group[1]->network().parameters();
-  const auto pl = legacy_group[1]->network().parameters();
+  const auto pl = solo_group[1]->network().parameters();
   for (std::size_t k = 0; k < pf.size(); ++k) ASSERT_EQ(pf[k], pl[k]);
 }
 
-// Non-fusable groups must be refused with no agent state touched, so the
-// caller's per-agent fallback starts from a clean slate.
+// Non-fusable groups must be refused with no agent state touched, so a
+// caller that regroups the agents starts from a clean slate.
 TEST(FusedDqn, RejectsMixedGroupsUntouched) {
   auto group = make_group(2, false, 64);
   auto cfg = small_config();
