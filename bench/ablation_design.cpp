@@ -9,6 +9,7 @@
 
 #include "core/layer_split.hpp"
 #include "core/pipeline.hpp"
+#include "ems/accounting.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/dfl.hpp"
 
@@ -27,14 +28,13 @@ void ablation_meter_interval(const sim::Scenario& scenario) {
     pipeline.train_forecasters(0, 2 * day);
     pipeline.train_ems(2 * day, 4 * day);
     const auto results = pipeline.evaluate(4 * day, 5 * day);
-    double net = 0.0, standby = 0.0, violations = 0.0;
+    const ems::SavingsTotals savings = ems::total_savings(results);
+    double violations = 0.0;
     for (const auto& r : results) {
-      net += std::max(0.0, r.net_saved_kwh());
-      standby += r.standby_kwh;
       violations += static_cast<double>(r.comfort_violations);
     }
     table.add_row({std::to_string(interval),
-                   util::fmt_double(net / standby, 3),
+                   util::fmt_double(savings.net_kwh / savings.standby_kwh, 3),
                    util::fmt_double(
                        violations / static_cast<double>(results.size()), 1)});
   }
@@ -176,17 +176,16 @@ void ablation_split_direction(const sim::Scenario& scenario) {
     }
 
     const auto results = pipeline.evaluate(4 * day, 5 * day);
-    double net = 0.0, standby = 0.0, reward = 0.0;
+    const ems::SavingsTotals savings = ems::total_savings(results);
+    double reward = 0.0;
     std::size_t steps = 0;
     for (const auto& r : results) {
-      net += std::max(0.0, r.net_saved_kwh());
-      standby += r.standby_kwh;
       reward += r.total_reward;
       steps += r.steps;
     }
     table.add_row({share_bottom ? "first 6 layers (PFDRL)"
                                 : "last 6 layers (inverted)",
-                   util::fmt_double(net / standby, 3),
+                   util::fmt_double(savings.net_kwh / savings.standby_kwh, 3),
                    util::fmt_double(reward / static_cast<double>(steps), 2)});
   }
   table.print("D. which layers to share (base prefix vs inverted suffix):");

@@ -9,6 +9,7 @@
 #include "common.hpp"
 
 #include "core/pipeline.hpp"
+#include "ems/accounting.hpp"
 #include "net/fault.hpp"
 
 namespace {
@@ -89,14 +90,10 @@ int main() {
     pipeline.train_forecasters(0, 2 * day);
     pipeline.train_ems(2 * day, 4 * day);
     const auto results = pipeline.evaluate(4 * day, 5 * day);
-    double net = 0.0, standby = 0.0;
-    for (const auto& r : results) {
-      net += std::max(0.0, r.net_saved_kwh());
-      standby += r.standby_kwh;
-    }
+    const ems::SavingsTotals savings = ems::total_savings(results);
 
     table.add_row(
-        {profile.name, util::fmt_double(standby > 0 ? net / standby : 0.0, 3),
+        {profile.name, util::fmt_double(savings.net_fraction(), 3),
          std::to_string(reg.counter("exchange.quorum_met").value()),
          std::to_string(reg.counter("exchange.quorum_missed").value()),
          std::to_string(reg.counter("exchange.stale_rounds").value()),

@@ -3,6 +3,7 @@
 #include "common.hpp"
 
 #include "core/pipeline.hpp"
+#include "ems/accounting.hpp"
 
 int main() {
   using namespace pfdrl;
@@ -23,18 +24,18 @@ int main() {
     pipeline.train_ems(2 * day, 5 * day);
 
     const auto results = pipeline.evaluate(5 * day, 6 * day);
-    double net = 0.0, gross = 0.0, standby = 0.0, reward = 0.0;
+    const ems::SavingsTotals savings = ems::total_savings(results);
+    const double standby = savings.standby_kwh;
+    double gross = 0.0, reward = 0.0;
     std::size_t steps = 0;
     for (const auto& r : results) {
-      net += std::max(0.0, r.net_saved_kwh());
       gross += r.saved_kwh;
-      standby += r.standby_kwh;
       reward += r.total_reward;
       steps += r.steps;
     }
     const auto comm = pipeline.drl_comm_stats();
     table.add_row({std::to_string(alpha),
-                   util::fmt_double(net / standby, 3),
+                   util::fmt_double(savings.net_kwh / standby, 3),
                    util::fmt_double(gross / standby, 3),
                    util::fmt_double(reward / static_cast<double>(steps), 2),
                    util::fmt_double(static_cast<double>(comm.bytes_on_wire) /

@@ -6,6 +6,7 @@
 #include "common.hpp"
 
 #include "core/pipeline.hpp"
+#include "ems/accounting.hpp"
 
 int main() {
   using namespace pfdrl;
@@ -25,12 +26,12 @@ int main() {
   pipeline.train_ems(4 * day, 6 * day);
   const auto results = pipeline.evaluate(6 * day, 7 * day);
 
-  double gross = 0.0, net = 0.0, standby = 0.0;
+  const ems::SavingsTotals savings = ems::total_savings(results);
+  const double standby = savings.standby_kwh;
+  double gross = 0.0;
   std::size_t violations = 0;
   for (const auto& r : results) {
     gross += r.saved_kwh;
-    net += std::max(0.0, r.net_saved_kwh());
-    standby += r.standby_kwh;
     violations += r.comfort_violations;
   }
 
@@ -39,7 +40,7 @@ int main() {
   table.add_row({"standby energy saved (gross)", "98%",
                  util::fmt_percent(gross / standby)});
   table.add_row({"standby energy saved (net of interruptions)", "-",
-                 util::fmt_percent(net / standby)});
+                 util::fmt_percent(savings.net_kwh / standby)});
   table.add_row({"comfort violations / client / day", "-",
                  util::fmt_double(static_cast<double>(violations) /
                                       static_cast<double>(results.size()),

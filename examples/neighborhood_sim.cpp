@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/pipeline.hpp"
+#include "ems/accounting.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
 #include "util/table.hpp"
@@ -54,10 +55,9 @@ int main() {
     pipeline.train_forecasters(0, 2 * day);
     pipeline.train_ems(2 * day, 3 * day);
     const auto eval = pipeline.evaluate(3 * day, 4 * day);
-    double net = 0.0, standby = 0.0, violations = 0.0;
+    const ems::SavingsTotals savings = ems::total_savings(eval);
+    double violations = 0.0;
     for (const auto& r : eval) {
-      net += std::max(0.0, r.net_saved_kwh());
-      standby += r.standby_kwh;
       violations += static_cast<double>(r.comfort_violations);
     }
     const auto fc = pipeline.forecast_comm_stats();
@@ -65,7 +65,7 @@ int main() {
     results.add_row(
         {core::ems_method_name(m),
          util::fmt_percent(pipeline.forecast_accuracy(3 * day, 4 * day)),
-         util::fmt_double(standby > 0 ? net / standby : 0.0, 3),
+         util::fmt_double(savings.net_fraction(), 3),
          util::fmt_double(violations / static_cast<double>(eval.size()), 1),
          util::fmt_double(
              static_cast<double>(fc.bytes_on_wire) / (1024.0 * 1024.0), 1),

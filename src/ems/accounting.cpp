@@ -1,5 +1,6 @@
 #include "ems/accounting.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -15,6 +16,18 @@ void EpisodeResult::merge(const EpisodeResult& other) noexcept {
   for (std::size_t h = 0; h < 24; ++h) {
     saved_kwh_by_hour[h] += other.saved_kwh_by_hour[h];
   }
+}
+
+SavingsTotals total_savings(std::span<const EpisodeResult> results) noexcept {
+  SavingsTotals t;
+  for (const EpisodeResult& r : results) {
+    const double net = r.net_saved_kwh();
+    t.net_kwh += std::max(0.0, net);
+    t.net_kwh_unclamped += net;
+    t.standby_kwh += r.standby_kwh;
+    if (net < 0.0) ++t.losing_homes;
+  }
+  return t;
 }
 
 EpisodeResult score_actions(const EmsEnvironment& env,

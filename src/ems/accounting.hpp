@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "data/tariff.hpp"
@@ -52,6 +53,30 @@ struct EpisodeResult {
 
   void merge(const EpisodeResult& other) noexcept;
 };
+
+/// Neighbourhood net savings over per-home results. The clamped sum
+/// floors each home at 0 (a losing home counts as saving nothing, as
+/// EpisodeResult::net_saved_fraction does): that is the figure the
+/// saved-standby-energy benches report. The unclamped sum bills losing
+/// homes against the others, and `losing_homes` counts them.
+struct SavingsTotals {
+  double net_kwh = 0.0;            // sum of max(0, net) per home
+  double net_kwh_unclamped = 0.0;  // sum of net per home
+  double standby_kwh = 0.0;
+  std::size_t losing_homes = 0;    // homes whose net is below 0
+
+  /// Clamped net as a fraction of standby (0 without standby).
+  [[nodiscard]] double net_fraction() const noexcept {
+    return standby_kwh > 0.0 ? net_kwh / standby_kwh : 0.0;
+  }
+  [[nodiscard]] double net_fraction_unclamped() const noexcept {
+    return standby_kwh > 0.0 ? net_kwh_unclamped / standby_kwh : 0.0;
+  }
+};
+
+/// Sums `results` in order (so the clamped figure is bitwise the
+/// historical per-site loop).
+SavingsTotals total_savings(std::span<const EpisodeResult> results) noexcept;
 
 /// Score a full action sequence against the environment. `actions[i]` is
 /// the action taken at step i; actions.size() must equal env.length().

@@ -145,6 +145,32 @@ TEST(Accounting, NetSavedFractionFloorsAtZero) {
   EXPECT_DOUBLE_EQ(r.net_saved_fraction(), 0.0);
 }
 
+// A neighbourhood with one losing home: the clamped total counts it as
+// saving nothing, the unclamped total bills its loss against the others.
+TEST(Accounting, SavingsTotalsCountLosingHome) {
+  std::vector<EpisodeResult> homes(3);
+  homes[0].standby_kwh = 1.0;
+  homes[0].saved_kwh = 0.75;
+  homes[0].violation_kwh = 0.25;  // net +0.5
+  homes[1].standby_kwh = 2.0;
+  homes[1].saved_kwh = 0.25;
+  homes[1].violation_kwh = 1.25;  // net -1.0: the losing home
+  homes[2].standby_kwh = 1.0;
+  homes[2].saved_kwh = 1.0;  // net +1.0
+  const SavingsTotals t = total_savings(homes);
+  EXPECT_EQ(t.net_kwh, 1.5);
+  EXPECT_EQ(t.net_kwh_unclamped, 0.5);
+  EXPECT_EQ(t.standby_kwh, 4.0);
+  EXPECT_EQ(t.losing_homes, 1u);
+  EXPECT_EQ(t.net_fraction(), 0.375);
+  EXPECT_EQ(t.net_fraction_unclamped(), 0.125);
+
+  const SavingsTotals none = total_savings({});
+  EXPECT_EQ(none.net_fraction(), 0.0);
+  EXPECT_EQ(none.net_fraction_unclamped(), 0.0);
+  EXPECT_EQ(none.losing_homes, 0u);
+}
+
 TEST(Accounting, FractionsZeroWithoutStandby) {
   EpisodeResult r;
   EXPECT_DOUBLE_EQ(r.saved_fraction(), 0.0);
