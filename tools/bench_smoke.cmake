@@ -110,7 +110,7 @@ function(check_keys path)
 endfunction()
 
 check_keys("${kernels_json}" context benchmarks)
-check_keys("${dfl_json}" bench lstm_windows lstm_windows_per_sec
+check_keys("${dfl_json}" bench host lstm_windows lstm_windows_per_sec
   gru_windows gru_windows_per_sec deterministic fused_bitwise_match
   fused_points pool_hash_consistent pool_sweep)
 check_keys("${scale_json}" bench host topology params rounds deterministic
